@@ -49,7 +49,6 @@ from .packet import (
     PacketEval,
     PhysParams,
     SlitSpec,
-    ballistic_velocity,
     eval_packet,
     psi,
     psi_dx,

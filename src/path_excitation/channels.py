@@ -169,9 +169,8 @@ def assemble(
     Sums run in channel order so repeated runs are bit-identical.  A
     point is nodal when p_tot < node_floor * peak, with the reference
     peak supplied by the caller (1.0 makes the floor absolute).  With a
-    single slit there is no interference and the guidance velocity is
-    the convective velocity itself, returned without the redundant
-    division so the identity holds to the last bit.
+    single slit the guidance velocity is the convective velocity itself
+    (see `_guidance`).
     """
     m = _mean_orientation(cset)
     p_tot = np.zeros(m.shape[:-1])
@@ -180,11 +179,30 @@ def assemble(
         p_i = ch.amplitude * (ch.orientation[..., 0] * m[..., 0] + ch.orientation[..., 1] * m[..., 1])
         p_tot = p_tot + p_i
         j_tot = j_tot + ch.physical_velocity * p_i
-    nodal = p_tot < node_floor * peak
+    single = cset.channels[0].physical_velocity if len(cset.channels) == 3 else None
+    return _guidance(p_tot, j_tot, node_floor * peak, single)
+
+
+def _guidance(p, j, floor, single_v=None) -> FieldSample:
+    """Guidance kernel: FieldSample from totals p, j and a nodal floor.
+
+    A point is nodal when p < floor; its velocity is NaN.  A single-slit
+    velocity single_v carries no interference and is returned verbatim
+    at live points, so the identity holds to the last bit; otherwise
+    v = j / p.  Each caller supplies its own nodal reference:
+
+      assemble, pairwise_field   node_floor * peak, peak from the caller
+      field_grid                 node_floor * max P_tot over the grid
+                                 (every point nodal if that max is <= 0)
+      equivalence_report         node_floor * max P_tot of the field
+      trajectories               node_floor * peak_bound, the in-phase
+                                 bound at the stage time
+    """
+    nodal = p < floor
     with np.errstate(divide="ignore", invalid="ignore"):
-        if len(cset.channels) == 3:
-            v_raw = np.broadcast_to(cset.channels[0].physical_velocity, p_tot.shape)
+        if single_v is not None:
+            v_raw = np.broadcast_to(single_v, p.shape)
         else:
-            v_raw = j_tot / np.where(nodal, 1.0, p_tot)
+            v_raw = j / np.where(nodal, 1.0, p)
         v_tot = np.where(nodal, np.nan, v_raw)
-    return FieldSample(p_tot=p_tot, j_tot=j_tot, v_tot=v_tot, nodal=nodal)
+    return FieldSample(p_tot=p, j_tot=j, v_tot=v_tot, nodal=nodal)

@@ -35,7 +35,7 @@ from .field import GridSpec, SlitMask, field_grid
 from .oracle import equivalence_report
 from .packet import PhysParams, SlitSpec, eval_packet, sigma_t
 from .sorkin import sumrule_report
-from .trajectories import ensemble, quantile_initial, streamlines
+from .trajectories import _resolve_dt, ensemble, quantile_initial, streamlines
 
 __all__ = ["RunConfig", "parse_config", "echo_config", "run_subcommand", "main"]
 
@@ -103,13 +103,10 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError("top-level value must be an object")
     _check_keys(raw, _TOP_KEYS, "config")
 
+    hbar = _number(raw.get("hbar", 1.0), "hbar")
+    mass = _number(raw.get("mass", 1.0), "mass")
     try:
-        params = PhysParams(
-            hbar=_number(raw.get("hbar", 1.0), "hbar"),
-            mass=_number(raw.get("mass", 1.0), "mass"),
-        )
-    except ParseError:
-        raise
+        params = PhysParams(hbar=hbar, mass=mass)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
 
@@ -124,18 +121,13 @@ def parse_config(text: str) -> RunConfig:
         _check_keys(item, _SLIT_KEYS, where)
         if "center" not in item:
             raise ParseError(f"{where}: missing key 'center'")
+        center = _number(item["center"], f"{where}.center")
+        sigma0 = _number(item.get("sigma0", 1.0), f"{where}.sigma0")
+        drift = _number(item.get("drift", 0.0), f"{where}.drift")
+        weight = _number(item.get("weight", 1.0), f"{where}.weight")
+        phase0 = _number(item.get("phase0", 0.0), f"{where}.phase0")
         try:
-            slits.append(
-                SlitSpec(
-                    center=_number(item["center"], f"{where}.center"),
-                    sigma0=_number(item.get("sigma0", 1.0), f"{where}.sigma0"),
-                    drift=_number(item.get("drift", 0.0), f"{where}.drift"),
-                    weight=_number(item.get("weight", 1.0), f"{where}.weight"),
-                    phase0=_number(item.get("phase0", 0.0), f"{where}.phase0"),
-                )
-            )
-        except ParseError:
-            raise
+            slits.append(SlitSpec(center, sigma0, drift, weight, phase0))
         except ValueError as exc:
             raise ValidationError(f"{where}: {exc}") from None
 
@@ -154,16 +146,13 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(grid_raw, dict):
         raise ParseError("grid: expected an object")
     _check_keys(grid_raw, _GRID_KEYS, "grid")
+    x_min = _number(grid_raw.get("xmin", -15.0), "grid.xmin")
+    x_max = _number(grid_raw.get("xmax", 15.0), "grid.xmax")
+    n_points = _integer(grid_raw.get("n", 2001), "grid.n")
+    t = _number(grid_raw.get("t", 2.0), "grid.t")
     try:
-        grid = GridSpec(
-            x_min=_number(grid_raw.get("xmin", -15.0), "grid.xmin"),
-            x_max=_number(grid_raw.get("xmax", 15.0), "grid.xmax"),
-            n_points=_integer(grid_raw.get("n", 2001), "grid.n"),
-            t=_number(grid_raw.get("t", 2.0), "grid.t"),
-        )
-    except ParseError:
-        raise
-    except (ValueError, NegativeTime) as exc:
+        grid = GridSpec(x_min=x_min, x_max=x_max, n_points=n_points, t=t)
+    except ValueError as exc:
         raise ValidationError(f"grid: {exc}") from None
 
     traj_raw = raw.get("trajectories", {})
@@ -172,12 +161,11 @@ def parse_config(text: str) -> RunConfig:
     _check_keys(traj_raw, _TRAJ_KEYS, "trajectories")
     t0 = _number(traj_raw.get("t0", 1e-3), "trajectories.t0")
     t1 = _number(traj_raw.get("t1", grid.t), "trajectories.t1")
-    if not (t1 > t0 >= 0.0):
-        raise ValidationError("t1 > t0 >= 0 violated")
-    dt = traj_raw.get("dt")
-    dt = (t1 - t0) / 2000.0 if dt is None else _number(dt, "trajectories.dt")
-    if not dt > 0.0:
-        raise ValidationError("dt > 0 violated")
+    dt = _resolve_dt(
+        t0, t1, traj_raw.get("dt"),
+        number=lambda raw: _number(raw, "trajectories.dt"),
+        error=ValidationError,
+    )
     n = _integer(traj_raw.get("n", 10000), "trajectories.n")
     if n < 1:
         raise ValidationError("n >= 1 violated")
@@ -253,7 +241,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _field_csv(cfg: RunConfig) -> str:
-    rows = field_grid(cfg.params, list(cfg.slits), cfg.mask, cfg.grid, cfg.node_floor)
+    fs = field_grid(cfg.params, list(cfg.slits), cfg.mask, cfg.grid, cfg.node_floor)
     open_idx = cfg.mask.indices()
     xs = cfg.grid.points()
     amps = [
@@ -264,9 +252,8 @@ def _field_csv(cfg: RunConfig) -> str:
         f",R_{k + 1}" for k in range(len(open_idx))
     )
     lines = [header]
-    for k, (x, s) in enumerate(rows):
-        cells = [_fmt(x), _fmt(s.p_tot), _fmt(s.j_tot), _fmt(s.v_tot), str(int(s.nodal))]
-        cells += [_fmt(a[k]) for a in amps]
+    for x, p, j, v, nodal, *r in zip(xs, fs.p_tot, fs.j_tot, fs.v_tot, fs.nodal, *amps):
+        cells = [_fmt(x), _fmt(p), _fmt(j), _fmt(v), str(int(nodal)), *map(_fmt, r)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

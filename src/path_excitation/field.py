@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DEFAULT_NODE_FLOOR, FieldSample
+from .channels import DEFAULT_NODE_FLOOR, FieldSample, _guidance
 from .errors import MismatchedPoint, NegativeTime
 from .packet import PacketEval, PhysParams, SlitSpec, eval_packet, sigma_t
 
@@ -99,15 +99,18 @@ def open_evals(
     return [eval_packet(params, slits[i], x, t) for i in mask.indices()]
 
 
-def _common_point(evals: list[PacketEval]) -> None:
-    x0, t0 = evals[0].x, evals[0].t
-    for j, ev in enumerate(evals[1:], start=1):
-        if not (np.array_equal(ev.x, x0) and ev.t == t0):
-            raise MismatchedPoint(f"evaluation {j} is not at the common (x, t)")
-
-
 def _pairwise(evals: list[PacketEval]):
-    """Pairwise-closed-form (P_tot, J_tot); fixed summation order."""
+    """Pairwise-closed-form (P_tot, J_tot); fixed summation order.
+
+    The evaluations must be non-empty and share one (x, t); a
+    disagreement raises MismatchedPoint.
+    """
+    if not evals:
+        raise ValueError("at least one packet evaluation is required")
+    x0, t0 = evals[0].x, evals[0].t
+    for k, ev in enumerate(evals[1:], start=1):
+        if not (np.array_equal(ev.x, x0) and ev.t == t0):
+            raise MismatchedPoint(f"evaluation {k} is not at the common (x, t)")
     n = len(evals)
     amp = [np.asarray(ev.amplitude, dtype=float) for ev in evals]
     cos = [ev.phase_carrier[..., 0] for ev in evals]
@@ -135,7 +138,6 @@ def intensity(evals: list[PacketEval]) -> np.ndarray:
     """Total detection intensity P_tot; an empty evaluation list gives 0."""
     if not evals:
         return np.zeros(())
-    _common_point(evals)
     p, _ = _pairwise(evals)
     return p
 
@@ -152,18 +154,9 @@ def pairwise_field(
     caller, as in `channels`.  A single packet carries no interference,
     so its guidance velocity is the convective velocity verbatim.
     """
-    if not evals:
-        raise ValueError("at least one packet evaluation is required")
-    _common_point(evals)
     p, j = _pairwise(evals)
-    nodal = p < node_floor * peak
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if len(evals) == 1:
-            v_raw = np.broadcast_to(evals[0].conv_velocity, p.shape)
-        else:
-            v_raw = j / np.where(nodal, 1.0, p)
-        v_tot = np.where(nodal, np.nan, v_raw)
-    return FieldSample(p_tot=p, j_tot=j, v_tot=v_tot, nodal=nodal)
+    single = evals[0].conv_velocity if len(evals) == 1 else None
+    return _guidance(p, j, node_floor * peak, single)
 
 
 def peak_bound(params: PhysParams, slits: list[SlitSpec], mask: SlitMask, t: float) -> float:
@@ -187,37 +180,21 @@ def field_grid(
     mask: SlitMask,
     grid: GridSpec,
     node_floor: float = DEFAULT_NODE_FLOOR,
-) -> list[tuple[float, FieldSample]]:
-    """Evaluate the field on the grid, ordered by x.
+) -> FieldSample:
+    """Evaluate the field on the grid as one array-valued FieldSample.
 
-    The nodal reference peak is the maximum P_tot over this grid.  An
-    empty mask yields zero intensity with every point flagged nodal.
+    Entry k belongs to grid.points()[k].  The nodal reference peak is
+    the maximum P_tot over this grid; when that maximum is not positive,
+    as for an empty mask (zero intensity), every point is nodal.
     """
     xs = grid.points()
-    if not mask.open:
-        return [
-            (float(x), FieldSample(p_tot=0.0, j_tot=0.0, v_tot=np.nan, nodal=True))
-            for x in xs
-        ]
-    evals = open_evals(params, slits, mask, xs, grid.t)
-    p, j = _pairwise(evals)
+    if mask.open:
+        evals = open_evals(params, slits, mask, xs, grid.t)
+        p, j = _pairwise(evals)
+    else:
+        evals, p, j = [], np.zeros(xs.shape), np.zeros(xs.shape)
     peak = float(np.max(p))
-    nodal = p < node_floor * peak if peak > 0.0 else np.ones(p.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if len(evals) == 1:
-            v_raw = np.broadcast_to(evals[0].conv_velocity, p.shape)
-        else:
-            v_raw = j / np.where(nodal, 1.0, p)
-        v = np.where(nodal, np.nan, v_raw)
-    return [
-        (
-            float(xs[k]),
-            FieldSample(
-                p_tot=float(p[k]),
-                j_tot=float(j[k]),
-                v_tot=float(v[k]),
-                nodal=bool(nodal[k]),
-            ),
-        )
-        for k in range(xs.size)
-    ]
+    if not peak > 0.0:
+        return FieldSample(p, j, np.full(p.shape, np.nan), np.ones(p.shape, dtype=bool))
+    single = evals[0].conv_velocity if len(evals) == 1 else None
+    return _guidance(p, j, node_floor * peak, single)

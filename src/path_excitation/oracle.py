@@ -27,9 +27,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .channels import DEFAULT_NODE_FLOOR
+from .channels import DEFAULT_NODE_FLOOR, _guidance
 from .errors import BoundaryLeak, NegativeTime, NodalPoint
-from .field import GridSpec, SlitMask, open_evals, pairwise_field, peak_bound
+from .field import GridSpec, SlitMask, _pairwise, open_evals, peak_bound
 from .packet import PhysParams, SlitSpec, psi, psi_dx
 
 __all__ = [
@@ -188,13 +188,14 @@ def equivalence_report(
     """Compare the pairwise field against the oracle over a grid.
 
     Velocity deviations are relative, |dv| / max(|v_field|, |v_oracle|),
-    evaluated only where the field flags the point non-nodal.
+    evaluated only where the field flags the point non-nodal; the nodal
+    reference is the field's own maximum P_tot.
     """
     xs = grid.points()
     evals = open_evals(params, slits, mask, xs, grid.t)
-    sample = pairwise_field(evals, node_floor=node_floor, peak=1.0)
-    peak_field = float(np.max(sample.p_tot))
-    sample = pairwise_field(evals, node_floor=node_floor, peak=peak_field)
+    p, j = _pairwise(evals)
+    single = evals[0].conv_velocity if len(evals) == 1 else None
+    sample = _guidance(p, j, node_floor * float(np.max(p)), single)
 
     p_o, j_o = qm_current(params, slits, mask, xs, grid.t)
     v_o = np.where(sample.nodal, np.nan, j_o / np.where(sample.nodal, 1.0, p_o))

@@ -36,7 +36,6 @@ __all__ = [
     "eval_packet",
     "psi",
     "psi_dx",
-    "ballistic_velocity",
 ]
 
 
@@ -166,19 +165,3 @@ def psi_dx(params: PhysParams, slit: SlitSpec, x, t: float) -> np.ndarray:
         -xi / (2.0 * st) + 1j * params.mass * slit.drift / params.hbar
     )
 
-
-def ballistic_velocity(params: PhysParams, slit: SlitSpec, x, t: float):
-    """Single-packet velocity field at absolute position x and time t.
-
-    Closed form drift + xi * (D^2 t / sigma0^2) / sigma(t)^2, the same
-    quantity eval_packet reports as conv_velocity.  Integrating
-    xdot = ballistic_velocity from x(0) = x0 gives the spreading
-    streamline x(t) = center + drift*t + (x0 - center) * sigma(t)/sigma0.
-    """
-    t = _check_time(t)
-    x = np.asarray(x, dtype=float)
-    d = params.diffusion
-    s0sq = slit.sigma0**2
-    ssq = s0sq + (d * t) ** 2 / s0sq
-    xi = x - slit.center - slit.drift * t
-    return slit.drift + xi * d * d * t / (s0sq * ssq)

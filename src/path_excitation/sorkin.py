@@ -54,18 +54,30 @@ def subset_intensity(params: PhysParams, slits: list[SlitSpec], subset, x, t: fl
     return intensity(open_evals(params, slits, SlitMask(subset), x, t))
 
 
+def _inclusion_exclusion(s: tuple[int, ...], subset_p, shape) -> np.ndarray:
+    """I_S = sum over non-empty T subseteq S of (-1)^(|S| - |T|) P_T.
+
+    subset_p(T) gives P_T for an ascending index tuple T; terms are
+    summed by subset size, then in combinations order, so the result is
+    bit-identical however P_T is obtained.
+    """
+    total = np.zeros(shape)
+    for size in range(1, len(s) + 1):
+        sign = -1.0 if (len(s) - size) % 2 else 1.0
+        for sub in combinations(s, size):
+            total = total + sign * subset_p(sub)
+    return total
+
+
 def interference_term(params: PhysParams, slits: list[SlitSpec], subset, x, t: float):
     """Signed inclusion-exclusion term I_S at (x, t)."""
     s = tuple(sorted(int(i) for i in subset))
     if len(s) < 1:
         raise ValueError("subset must contain at least one slit index")
     x = np.asarray(x, dtype=float)
-    total = np.zeros(x.shape)
-    for size in range(1, len(s) + 1):
-        sign = -1.0 if (len(s) - size) % 2 else 1.0
-        for sub in combinations(s, size):
-            total = total + sign * subset_intensity(params, slits, sub, x, t)
-    return total
+    return _inclusion_exclusion(
+        s, lambda sub: subset_intensity(params, slits, sub, x, t), x.shape
+    )
 
 
 def sumrule_report(
@@ -86,21 +98,20 @@ def sumrule_report(
         raise ValueError("2 <= max_order <= number of slits violated")
     xs = grid.points()
 
+    # Each slit is evaluated once; P_T sums the evaluations of T in
+    # ascending order, exactly as subset_intensity would.
+    evals = open_evals(params, slits, SlitMask.all_open(n), xs, grid.t)
     cache: dict[tuple[int, ...], np.ndarray] = {}
     for size in range(1, max_order + 1):
         for sub in combinations(range(n), size):
-            cache[sub] = subset_intensity(params, slits, sub, xs, grid.t)
+            cache[sub] = intensity([evals[i] for i in sub])
     scale = max(float(np.max(p)) for p in cache.values())
 
     reports = []
     for k in range(2, max_order + 1):
         values = np.zeros(xs.shape)
         for s in combinations(range(n), k):
-            term = np.zeros(xs.shape)
-            for size in range(1, k + 1):
-                sign = -1.0 if (k - size) % 2 else 1.0
-                for sub in combinations(s, size):
-                    term = term + sign * cache[sub]
+            term = _inclusion_exclusion(s, cache.__getitem__, xs.shape)
             values = np.maximum(values, np.abs(term))
         max_abs = float(np.max(values))
         reports.append(

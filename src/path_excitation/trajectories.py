@@ -14,7 +14,7 @@ the position-sorted ensemble and run on a thread pool; chunk boundaries
 exchange edge paths so the no-crossing count covers adjacent pairs
 across chunks.  All arithmetic is elementwise, so results are
 bit-identical for any worker count.  PATH_EXCITATION_THREADS caps the
-pool size.
+pool size; a value that is not an integer raises ValidationError.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .channels import DEFAULT_NODE_FLOOR
-from .errors import DegenerateDensity
+from .errors import DegenerateDensity, ValidationError
 from .field import SlitMask, intensity, open_evals, pairwise_field, peak_bound
 from .packet import PhysParams, SlitSpec, sigma_t
 
@@ -89,6 +89,21 @@ def _time_steps(t0: float, t1: float, dt: float) -> np.ndarray:
         times = np.append(times, t1)
     times[-1] = t1
     return times
+
+
+def _resolve_dt(t0, t1, dt, number=float, error=ValueError) -> float:
+    """Check the window t1 > t0 >= 0, then resolve dt (default (t1 - t0)/2000).
+
+    number converts an explicit dt and error is raised for a violated
+    invariant, so a config parser can keep its own error types while
+    the window is still checked before dt is even read.
+    """
+    if not (t1 > t0 >= 0.0):
+        raise error("t1 > t0 >= 0 violated")
+    dt = (t1 - t0) / 2000.0 if dt is None else number(dt)
+    if not dt > 0.0:
+        raise error("dt > 0 violated")
+    return dt
 
 
 def _velocity(params, slits, mask, x, t, node_floor):
@@ -253,11 +268,7 @@ def integrate(
     terminates with NodalAbort and the samples stop at the last
     accepted step.
     """
-    if not (t1 > t0 >= 0.0):
-        raise ValueError("t1 > t0 >= 0 violated")
-    dt = (t1 - t0) / 2000.0 if dt is None else float(dt)
-    if not dt > 0.0:
-        raise ValueError("dt > 0 violated")
+    dt = _resolve_dt(t0, t1, dt)
     res = _rk4_bundle(
         params, slits, mask, np.array([x0]), t0, t1, dt, node_floor, record=True
     )
@@ -287,11 +298,7 @@ def streamlines(
     of an aborted line, or -1 for a completed one.  Positions after the
     abort index repeat the frozen value.
     """
-    if not (t1 > t0 >= 0.0):
-        raise ValueError("t1 > t0 >= 0 violated")
-    dt = (t1 - t0) / 2000.0 if dt is None else float(dt)
-    if not dt > 0.0:
-        raise ValueError("dt > 0 violated")
+    dt = _resolve_dt(t0, t1, dt)
     res = _rk4_bundle(
         params, slits, mask, np.asarray(x0s, dtype=float), t0, t1, dt, node_floor,
         record=True,
@@ -301,7 +308,12 @@ def streamlines(
 
 def _worker_count(n_items: int) -> int:
     env = os.environ.get("PATH_EXCITATION_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
+    try:
+        cap = int(env) if env else (os.cpu_count() or 1)
+    except ValueError:
+        raise ValidationError(
+            f"PATH_EXCITATION_THREADS: expected an integer, got {env!r}"
+        ) from None
     by_size = max(1, n_items // _MIN_CHUNK)
     return max(1, min(cap, by_size))
 
@@ -324,11 +336,7 @@ def ensemble(
     pairs straddling chunk boundaries, feed the no-crossing count.
     Aborted trajectories are excluded from the histogram but reported.
     """
-    if not (t1 > t0 >= 0.0):
-        raise ValueError("t1 > t0 >= 0 violated")
-    dt = (t1 - t0) / 2000.0 if dt is None else float(dt)
-    if not dt > 0.0:
-        raise ValueError("dt > 0 violated")
+    dt = _resolve_dt(t0, t1, dt)
     x0 = np.sort(sample_initial(params, slits, mask, t0, n, seed))
 
     workers = _worker_count(n)

@@ -67,6 +67,15 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="t1 > t0"):
             parse_config('{"trajectories": {"t0": 2.0, "t1": 2.0}}')
 
+    def test_bad_window_is_reported_before_mistyped_dt(self):
+        with pytest.raises(ValidationError, match="t1 > t0"):
+            parse_config('{"trajectories": {"t0": 2, "t1": 1, "dt": "x"}}')
+        for dt in ('"x"', "false", "[0.1]"):
+            with pytest.raises(ParseError, match="trajectories.dt"):
+                parse_config('{"trajectories": {"dt": %s}}' % dt)
+        with pytest.raises(ValidationError, match="dt > 0"):
+            parse_config('{"trajectories": {"dt": -1}}')
+
     def test_round_trip_default(self):
         cfg = parse_config("{}")
         assert parse_config(echo_config(cfg)) == cfg
@@ -273,6 +282,16 @@ class TestExitCodes:
         status = main(["trajectories", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
         assert status == 4
         assert json.loads(capsys.readouterr().err)["error"] == "DegenerateDensity"
+
+    def test_non_integer_thread_cap_is_validation_exit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PATH_EXCITATION_THREADS", "abc")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"trajectories": {"n": 10, "dt": 0.1}}))
+        status = main(["trajectories", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        assert status == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "PATH_EXCITATION_THREADS" in err["message"] and "'abc'" in err["message"]
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):

@@ -143,11 +143,10 @@ def test_classical_reduction_drops_sin_terms():
 
 def test_grid_two_slit_symmetry_and_central_fringe():
     grid = GridSpec(-15.0, 15.0, 2001, 2.0)
-    rows = field_grid(P, SYMMETRIC, SlitMask.all_open(2), grid)
-    xs = np.array([x for x, _ in rows])
-    p = np.array([fs.p_tot for _, fs in rows])
-    v = np.array([fs.v_tot for _, fs in rows])
-    nodal = np.array([fs.nodal for _, fs in rows])
+    fs = field_grid(P, SYMMETRIC, SlitMask.all_open(2), grid)
+    xs = grid.points()
+    p, v, nodal = fs.p_tot, fs.v_tot, fs.nodal
+    assert p.shape == v.shape == nodal.shape == xs.shape
     assert np.all(np.diff(xs) > 0)
     peak = float(np.max(p))
     # mirror symmetry of intensity, antisymmetry of velocity
@@ -162,24 +161,21 @@ def test_grid_central_fringe_dominates_when_packets_overlap():
     humps.  At small spread the humps win instead, so both geometries
     are scanned."""
     mask = SlitMask.all_open(2)
-    rows = field_grid(P, SYMMETRIC, mask, GridSpec(-20.0, 20.0, 2001, 6.0))
-    xs = np.array([x for x, _ in rows])
-    p = np.array([fs.p_tot for _, fs in rows])
-    assert abs(xs[int(np.argmax(p))]) < 1e-12
+    grid = GridSpec(-20.0, 20.0, 2001, 6.0)
+    p = field_grid(P, SYMMETRIC, mask, grid).p_tot
+    assert abs(grid.points()[int(np.argmax(p))]) < 1e-12
 
     narrow = [SlitSpec(center=-1.0), SlitSpec(center=1.0)]
-    rows = field_grid(P, narrow, mask, GridSpec(-12.0, 12.0, 2001, 2.0))
-    xs = np.array([x for x, _ in rows])
-    p = np.array([fs.p_tot for _, fs in rows])
-    assert abs(xs[int(np.argmax(p))]) < 1e-12
+    grid = GridSpec(-12.0, 12.0, 2001, 2.0)
+    p = field_grid(P, narrow, mask, grid).p_tot
+    assert abs(grid.points()[int(np.argmax(p))]) < 1e-12
 
 
 def test_grid_single_slit_variance():
     slit = SlitSpec(center=0.5)
     grid = GridSpec(0.5 - 14.0, 0.5 + 14.0, 4001, 2.0)
-    rows = field_grid(P, [slit], SlitMask([0]), grid)
-    xs = np.array([x for x, _ in rows])
-    p = np.array([fs.p_tot for _, fs in rows])
+    xs = grid.points()
+    p = field_grid(P, [slit], SlitMask([0]), grid).p_tot
     total = trapezoid(p, xs)
     mean = trapezoid(xs * p, xs) / total
     var = trapezoid((xs - mean) ** 2 * p, xs) / total
@@ -187,18 +183,44 @@ def test_grid_single_slit_variance():
 
 
 def test_grid_empty_mask_is_dark():
+    """An empty mask, and open slits of zero weight, give an exactly dark grid."""
     grid = GridSpec(-5.0, 5.0, 11, 1.0)
-    rows = field_grid(P, SYMMETRIC, SlitMask([]), grid)
-    assert len(rows) == 11
-    assert all(fs.p_tot == 0.0 and fs.nodal for _, fs in rows)
-    assert all(np.isnan(fs.v_tot) for _, fs in rows)
+    dark = [SlitSpec(center=-1.0, weight=0.0), SlitSpec(center=1.0, weight=0.0)]
+    for slits, open_idx in ((SYMMETRIC, []), (dark, [0, 1])):
+        fs = field_grid(P, slits, SlitMask(open_idx), grid)
+        assert np.array_equal(fs.p_tot, np.zeros(11)) and np.array_equal(fs.j_tot, np.zeros(11))
+        assert np.array_equal(fs.v_tot, np.full(11, np.nan), equal_nan=True)
+        assert np.array_equal(fs.nodal, np.ones(11, dtype=bool))
+    # pairwise_field has no empty form to compare against
+    with pytest.raises(ValueError, match="at least one"):
+        pairwise_field([])
+
+
+@pytest.mark.parametrize(
+    "slits, open_idx",
+    [
+        (SYMMETRIC, [0, 1]),
+        ([SlitSpec(center=0.5, drift=0.2)], [0]),
+        ([SlitSpec(center=-2.0), SlitSpec(center=2.0, weight=0.0)], [0, 1]),
+    ],
+    ids=["two-slit", "one-slit", "zero-weight"],
+)
+def test_grid_is_pairwise_field_at_grid_peak_bit_for_bit(slits, open_idx):
+    """field_grid equals pairwise_field with the grid maximum as peak."""
+    grid = GridSpec(-15.0, 15.0, 2001, 2.0)
+    mask = SlitMask(open_idx)
+    fs = field_grid(P, slits, mask, grid)
+    evals = open_evals(P, slits, mask, grid.points(), grid.t)
+    ref = pairwise_field(evals, peak=float(np.max(intensity(evals))))
+    for name in ("p_tot", "j_tot", "v_tot", "nodal"):
+        assert np.array_equal(getattr(fs, name), getattr(ref, name), equal_nan=True), name
+    assert np.any(fs.nodal) and not np.all(fs.nodal)
 
 
 def test_peak_bound_dominates_grid():
     grid = GridSpec(-15.0, 15.0, 2001, 2.0)
     bound = peak_bound(P, SYMMETRIC, SlitMask.all_open(2), grid.t)
-    rows = field_grid(P, SYMMETRIC, SlitMask.all_open(2), grid)
-    peak = max(fs.p_tot for _, fs in rows)
+    peak = float(np.max(field_grid(P, SYMMETRIC, SlitMask.all_open(2), grid).p_tot))
     assert peak <= bound
     # the bound is attained for a single centered packet
     single = peak_bound(P, [SlitSpec(center=0.0)], SlitMask([0]), 2.0)

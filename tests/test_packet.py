@@ -14,7 +14,6 @@ from path_excitation.errors import NegativeTime
 from path_excitation.packet import (
     PhysParams,
     SlitSpec,
-    ballistic_velocity,
     eval_packet,
     psi,
     sigma_t,
@@ -161,30 +160,36 @@ def test_density_weighted_diffusive_velocity_averages_to_zero():
 
 def test_ballistic_velocity_trivial_values():
     slit = SlitSpec(center=0.0, drift=0.6)
-    assert float(ballistic_velocity(P, slit, 3.7, 0.0)) == pytest.approx(0.6)
+    assert float(eval_packet(P, slit, 3.7, 0.0).conv_velocity) == pytest.approx(0.6)
     # the drifting center is advected at the drift velocity for all t
     for t in (0.5, 2.0, 7.0):
-        assert float(ballistic_velocity(P, slit, 0.6 * t, t)) == pytest.approx(0.6)
+        assert float(eval_packet(P, slit, 0.6 * t, t).conv_velocity) == pytest.approx(0.6)
     with pytest.raises(NegativeTime):
-        ballistic_velocity(P, slit, 0.0, -0.1)
+        eval_packet(P, slit, 0.0, -0.1)
 
 
 def test_ballistic_velocity_equals_convective_field():
+    """conv_velocity is drift + xi * (D^2 t / sigma0^2) / sigma(t)^2."""
     slit = SlitSpec(center=-1.2, sigma0=0.8, drift=0.35)
     xs = np.linspace(-6.0, 5.0, 101)
-    ev = eval_packet(P, slit, xs, 1.9)
-    assert_allclose(ballistic_velocity(P, slit, xs, 1.9), ev.conv_velocity, rtol=0, atol=1e-15)
+    t = 1.9
+    d = P.diffusion
+    s0sq = slit.sigma0**2
+    ssq = s0sq + (d * t) ** 2 / s0sq
+    closed = slit.drift + (xs - slit.center - slit.drift * t) * d * d * t / (s0sq * ssq)
+    ev = eval_packet(P, slit, xs, t)
+    assert_allclose(closed, ev.conv_velocity, rtol=0, atol=1e-15)
 
 
 def test_ballistic_streamline_closed_form():
-    """Seeding x0 and following sigma growth solves xdot = ballistic_velocity."""
+    """Seeding x0 and following sigma growth solves xdot = conv_velocity."""
     slit = SlitSpec(center=0.4, sigma0=1.0, drift=0.2)
     x0 = 1.7
     h = 1e-6
     for t in (0.3, 1.1, 2.4):
         path = lambda s: slit.center + slit.drift * s + (x0 - slit.center) * sigma_t(P, slit, s) / slit.sigma0
         rate = (path(t + h) - path(t - h)) / (2.0 * h)
-        assert float(ballistic_velocity(P, slit, path(t), t)) == pytest.approx(rate, abs=1e-8)
+        assert float(eval_packet(P, slit, path(t), t).conv_velocity) == pytest.approx(rate, abs=1e-8)
 
 
 def test_parameter_validation():

@@ -5,6 +5,8 @@ must cancel to rounding because the intensity is a strictly pairwise
 sum over beams.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,31 @@ def test_report_four_slit_hierarchy():
     assert by_order[2].normalized_max > 0.1
     assert by_order[3].normalized_max <= 1e-12
     assert by_order[4].normalized_max <= 1e-12
+
+
+def test_report_is_subset_inclusion_exclusion_bit_for_bit():
+    """One evaluation per slit gives exactly the per-subset reruns."""
+    xs = GRID4.points()
+    runs = {
+        sub: subset_intensity(P, FOUR, sub, xs, GRID4.t)
+        for size in range(1, 5)
+        for sub in combinations(range(4), size)
+    }
+    scale = max(float(np.max(p)) for p in runs.values())
+    reports = sumrule_report(P, FOUR, GRID4, 4)
+    for r in reports:
+        values = np.zeros(xs.shape)
+        for s in combinations(range(4), r.order):
+            term = np.zeros(xs.shape)
+            for size in range(1, r.order + 1):
+                sign = -1.0 if (r.order - size) % 2 else 1.0
+                for sub in combinations(s, size):
+                    term = term + sign * runs[sub]
+            values = np.maximum(values, np.abs(term))
+        assert np.array_equal(r.values, values, equal_nan=True)
+        assert r.scale == scale
+        assert r.max_abs == float(np.max(values))
+        assert r.normalized_max == r.max_abs / scale
 
 
 def test_report_rejects_bad_order():

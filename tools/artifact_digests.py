@@ -1,0 +1,108 @@
+"""Print sha256 digests of every CLI artifact over a fixed set of configs.
+
+    python3 tools/artifact_digests.py [--src DIR]
+
+Each (config, subcommand) pair runs as its own CLI process in a fresh
+temporary directory, importing the package from DIR (default: the
+`src` directory next to this script).  For every artifact the output
+holds one line
+
+    <sha256>  <config>/<subcommand>/<file>
+
+followed by the exit status and, when the process wrote one, the JSON
+error line from stderr (other stderr output, such as numpy warnings, is
+left out).  Run it on two checkouts and diff the outputs
+to confirm that a change leaves every artifact, exit code and error
+message byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ALL = ("field", "verify", "sorkin", "trajectories", "packet")
+
+GRID = {
+    "slits": [{"center": c} for c in (-10.0, -6.0, -2.0, 2.0, 6.0, 10.0)],
+    "grid": {"xmin": -40.0, "xmax": 40.0, "n": 100001, "t": 3.0},
+}
+EIGHT = {
+    "slits": [{"center": float(c)} for c in range(-14, 15, 4)],
+    "grid": {"xmin": -40.0, "xmax": 40.0, "n": 4001, "t": 3.0},
+}
+
+# (label, config, subcommands)
+CASES = [
+    ("default", {}, ALL),
+    ("grid", GRID, ("field", "verify", "sorkin")),
+    ("eight", EIGHT, ("verify",)),
+    (
+        "single",
+        {"slits": [{"center": 0.5}], "trajectories": {"n": 500}},
+        ("field", "verify", "trajectories"),
+    ),
+    ("empty_mask", {"mask": []}, ("field", "verify")),
+    (
+        "one_zero_weight",
+        {"slits": [{"center": -3.0}, {"center": 3.0, "weight": 0.0}]},
+        ("field", "verify"),
+    ),
+    (
+        "all_zero_weight",
+        {"slits": [{"center": -3.0, "weight": 0.0}, {"center": 3.0, "weight": 0.0}]},
+        ("field", "verify"),
+    ),
+    ("bad_window_dt", {"trajectories": {"t0": 2, "t1": 1, "dt": "x"}}, ("field",)),
+    ("bad_dt", {"trajectories": {"dt": -1}}, ("field",)),
+    ("bad_hbar", {"hbar": True}, ("field",)),
+    ("bad_sigma", {"slits": [{"center": 0, "sigma0": -1}]}, ("field",)),
+]
+
+
+def run_case(src: Path, label: str, config: dict, sub: str) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = Path(tmp) / "out"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "path_excitation.cli", sub,
+             "--config", str(cfg_path), "--out-dir", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        lines = []
+        for f in sorted(out.iterdir()) if out.is_dir() else ():
+            digest = hashlib.sha256(f.read_bytes()).hexdigest()
+            lines.append(f"{digest}  {label}/{sub}/{f.name}")
+        lines.append(f"exit {proc.returncode}  {label}/{sub}")
+        # Only the CLI's JSON error line: warnings name source paths and lines.
+        lines += [
+            f"stderr {err}  {label}/{sub}"
+            for err in proc.stderr.splitlines()
+            if err.startswith("{")
+        ]
+        return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument(
+        "--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+        help="directory holding the path_excitation package",
+    )
+    args = parser.parse_args(argv)
+    for label, config, subs in CASES:
+        for sub in subs:
+            print("\n".join(run_case(args.src.resolve(), label, config, sub)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
