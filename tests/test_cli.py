@@ -1,10 +1,12 @@
 """Config parsing, subcommand dispatch, artifacts, and exit codes."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from path_excitation import field, oracle
 from path_excitation.cli import echo_config, main, parse_config, run_subcommand
 from path_excitation.errors import ParseError, ValidationError
 
@@ -147,6 +149,38 @@ class TestVerifyCommand:
         assert payload["max_rel_dev_v"] <= 1e-10
         assert payload["max_abs_dev_p"] <= 1e-10 * payload["peak_p"]
         assert payload["max_abs_dev_j"] <= 1e-10 * payload["peak_j"]
+
+    # v crosses zero on both grids, where a pointwise relative velocity
+    # metric divides roundoff by roundoff.
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {
+                "slits": [{"center": c} for c in (-10.0, -6.0, -2.0, 2.0, 6.0, 10.0)],
+                "grid": {"xmin": -40.0, "xmax": 40.0, "n": 100001, "t": 3.0},
+            },
+            {
+                "slits": [{"center": float(c)} for c in range(-14, 15, 4)],
+                "grid": {"xmin": -40.0, "xmax": 40.0, "n": 4001, "t": 3.0},
+            },
+        ],
+        ids=["six-slit-fine-grid", "eight-slit"],
+    )
+    def test_zero_crossing_velocity_passes(self, tmp_path, config):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["verify", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        assert json.loads(read(tmp_path / "verify.json"))["max_rel_dev_v"] <= 1e-10
+
+    def test_flipped_diffusive_cross_term_fails(self, tmp_path, monkeypatch):
+        # u enters the pairwise field only through the (u_k - u_i) cross
+        # term, so negating every diff_velocity flips exactly its sign.
+        def mutant(evals):
+            return field._pairwise([replace(ev, diff_velocity=-ev.diff_velocity) for ev in evals])
+
+        monkeypatch.setattr(oracle, "_pairwise", mutant)
+        assert main(["verify", "--out-dir", str(tmp_path)]) == 3
+        assert json.loads(read(tmp_path / "verify.json"))["max_rel_dev_v"] > 1e-2
 
 
 class TestSorkinCommand:

@@ -3,16 +3,28 @@ guidance velocity, and the Crank-Nicolson propagator.
 
 The propagator is itself an oracle for the analytic packets, so its own
 tests lean on properties that hold regardless of the packet model:
-unitarity, linearity in the profile, and boundary-leak detection.
+unitarity, linearity in the profile, and boundary-leak detection.  The
+modal evaluation is checked against a sparse-LU loop that takes the
+Crank-Nicolson steps one at a time.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import splu
 
+import path_excitation
 from path_excitation.errors import BoundaryLeak, NegativeTime, NodalPoint
 from path_excitation.field import GridSpec, SlitMask, pairwise_field, open_evals
 from path_excitation.oracle import (
+    _dst1,
     bohm_velocity,
     equivalence_report,
     fd_propagate,
@@ -112,6 +124,65 @@ def _grid(n=1024, half=12.0):
     return np.linspace(-half, half, n)
 
 
+def _stepped_reference(params, x, psi0, t_end, n_steps, leak_tol=1e-6):
+    """Compact Crank-Nicolson one step at a time: with L the second
+    difference and M = I + L/12, each step solves
+    (M - g L) psi_new = (M + g L) psi_old, g = i hbar dt / (4 m dx^2),
+    and checks the edge amplitudes against leak_tol of the initial peak.
+    Preconditions are left to fd_propagate."""
+    out = np.asarray(psi0, dtype=complex).copy()
+    n = x.size
+    dx = (x[-1] - x[0]) / (n - 1)
+    dt = float(t_end) / n_steps
+    lap = sp.diags([np.ones(n - 1), np.full(n, -2.0), np.ones(n - 1)], [-1, 0, 1], format="csc")
+    m = sp.identity(n, format="csc") + lap / 12.0
+    gamma = 1j * params.hbar * dt / (4.0 * params.mass * dx * dx)
+    solver = splu((m - gamma * lap).tocsc())
+    rhs_op = (m + gamma * lap).tocsr()
+    edge_limit = leak_tol * float(np.max(np.abs(out)))
+    for step in range(n_steps):
+        out = solver.solve(rhs_op @ out)
+        if max(abs(out[0]), abs(out[-1])) > edge_limit:
+            raise BoundaryLeak(f"edge amplitude exceeded at step {step + 1}/{n_steps}")
+    return out
+
+
+def test_dst1_matches_scipy():
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=37) + 1j * rng.normal(size=37)
+    ref = scipy.fft.dst(v, type=1)
+    assert np.max(np.abs(_dst1(v) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_propagate_matches_stepped_reference():
+    xs = _grid()
+    dx = xs[1] - xs[0]
+    psi0 = psi(P, SlitSpec(center=0.0), xs, 0.0).astype(complex)
+    n_steps = int(np.ceil(0.5 / dx**2))
+    out = fd_propagate(P, xs, psi0, 0.5, n_steps)
+    ref = _stepped_reference(P, xs, psi0, 0.5, n_steps)
+    assert np.max(np.abs(out - ref)) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "drift, step", [(0.0, 1264), (1.0, 877), (-1.5, 749)], ids=["both", "right", "left"]
+)
+def test_propagate_mid_run_leak_names_the_same_step(drift, step):
+    # The packet starts well inside the walls (entry check passes) and
+    # its spreading tails reach the edges partway through the run; a
+    # drifting packet reaches one edge first.
+    xs = np.linspace(-10.5, 10.5, 501)
+    dx = xs[1] - xs[0]
+    n_steps = int(np.ceil(3.0 / dx**2))
+    assert n_steps == 1701
+    psi0 = psi(P, SlitSpec(center=0.0, drift=drift), xs, 0.0).astype(complex)
+    message = f"edge amplitude exceeded at step {step}/1701"
+    with pytest.raises(BoundaryLeak, match=message):
+        fd_propagate(P, xs, psi0, 3.0, n_steps)
+    with pytest.raises(BoundaryLeak, match=message):
+        _stepped_reference(P, xs, psi0, 3.0, n_steps)
+
+
 def test_propagate_zero_profile_stays_zero():
     xs = _grid(256)
     out = fd_propagate(P, xs, np.zeros_like(xs, dtype=complex), 0.5, 100)
@@ -158,6 +229,16 @@ def test_propagate_validates_shapes():
     xs = _grid(64)
     with pytest.raises(ValueError):
         fd_propagate(P, xs, np.zeros(32, dtype=complex), 0.1, 100)
+
+
+def test_package_import_loads_no_scipy():
+    src = str(Path(path_excitation.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import path_excitation, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 # -------------------------------------------------------------- equivalence
