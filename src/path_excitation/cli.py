@@ -54,7 +54,11 @@ _TRAJ_KEYS = {"t0", "t1", "dt", "n", "bins", "seed"}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration; every field is concrete."""
+    """Fully resolved run configuration.
+
+    Every field is concrete except dt, where None selects error-controlled
+    trajectory stepping.
+    """
 
     params: PhysParams
     slits: tuple[SlitSpec, ...]
@@ -62,7 +66,7 @@ class RunConfig:
     grid: GridSpec
     t0: float
     t1: float
-    dt: float
+    dt: float | None
     n: int
     bins: int
     seed: int

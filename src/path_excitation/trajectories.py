@@ -1,33 +1,36 @@
 """Streamline integration and Born-rule equivariance harness.
 
-Trajectories follow the emergent guidance field, dx/dt = v_tot(x, t),
-under classic fixed-step fourth-order Runge-Kutta.  The integrator is
-vectorized over whole bundles of trajectories sharing one time grid;
-single-trajectory calls wrap a bundle of one.  A stage evaluation that
-lands below the nodal floor aborts that trajectory (frozen at its last
-accepted position) rather than stepping across a node.
+Trajectories follow the emergent guidance field, dx/dt = v_tot(x, t).
+The integrator is vectorized over whole bundles of trajectories that
+share one step sequence; single-trajectory calls wrap a bundle of one.
+
+With dt=None (the default) a bundle steps with the Dormand-Prince 5(4)
+pair and first-same-as-last reuse of the final stage (Hairer, Norsett &
+Wanner, Solving ODEs I, II.4-5).  One step size serves the whole bundle:
+a step is accepted when the largest |x5 - x4| over live trajectories is
+at most _STEP_TOL, and the standard controller picks the next size.  A
+stage landing below the nodal floor rejects the step and halves it, down
+to the floor step (t1 - t0)/2000; at that size every step is accepted.
+An explicit dt steps with classic fixed-step fourth-order Runge-Kutta
+instead, and the step count is capped at _MAX_STEPS.  On either path a
+trajectory whose accepted step met a nodal stage aborts, frozen at its
+last accepted position, rather than stepping across a node.
 
 Ensembles sample initial positions from the normalized t0 intensity by
-inverse-CDF lookup on a tabulated grid, integrate every trajectory, and
-histogram the endpoints.  Bundles are split into contiguous chunks of
-the position-sorted ensemble and run on a thread pool; chunk boundaries
-exchange edge paths so the no-crossing count covers adjacent pairs
-across chunks.  All arithmetic is elementwise, so results are
-bit-identical for any worker count.  PATH_EXCITATION_THREADS caps the
-pool size; a value that is not an integer raises ValidationError.
+inverse-CDF lookup on a tabulated grid, integrate the position-sorted
+ensemble as one bundle, and histogram the endpoints.  Adjacent sorted
+pairs feed the no-crossing count at every accepted step.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .channels import DEFAULT_NODE_FLOOR
-from .errors import DegenerateDensity, ValidationError
+from .errors import DegenerateDensity
 from .field import SlitMask, intensity, open_evals, pairwise_field, peak_bound
 from .packet import PhysParams, SlitSpec, sigma_t
 
@@ -44,7 +47,30 @@ __all__ = [
 
 CROSSING_TOL = 1e-9
 _SAMPLER_POINTS = 8192
-_MIN_CHUNK = 4096
+_FLOOR_STEPS = 2000  # the floor step of the controlled path is (t1 - t0)/2000
+_MAX_STEPS = 100_000  # an explicit dt may take at most this many steps
+_STEP_TOL = 1e-10  # accepted |x5 - x4|, absolute, worst live trajectory
+
+# Dormand-Prince 5(4): nodes, stage matrix rows for stages 2..7, and the
+# error weights b5 - b4.  Row 7 is b5, so stage 7 sits at the new point.
+_DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
+_DP_A = (
+    (0.2,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+)
+_DP_E = (
+    71.0 / 57600.0,
+    0.0,
+    -71.0 / 16695.0,
+    71.0 / 1920.0,
+    -17253.0 / 339200.0,
+    22.0 / 525.0,
+    -1.0 / 40.0,
+)
 
 
 class Termination(Enum):
@@ -67,8 +93,9 @@ class EnsembleResult:
     counts covers completed trajectories only and sums to
     n_trajectories - n_aborted.  n_crossing_violations counts adjacent
     sorted pairs that swapped order by more than the crossing tolerance
-    at any stored step; the flow is order-preserving, so anything above
-    zero indicates too coarse a step.
+    at any accepted step; the flow is order-preserving, so anything
+    above zero indicates too coarse a step.  n_steps counts accepted
+    steps and n_rejected rejected ones (always 0 for an explicit dt).
     """
 
     bin_edges: np.ndarray
@@ -77,6 +104,8 @@ class EnsembleResult:
     n_aborted: int
     seed: int
     n_crossing_violations: int
+    n_steps: int
+    n_rejected: int
 
 
 def _time_steps(t0: float, t1: float, dt: float) -> np.ndarray:
@@ -91,18 +120,25 @@ def _time_steps(t0: float, t1: float, dt: float) -> np.ndarray:
     return times
 
 
-def _resolve_dt(t0, t1, dt, number=float, error=ValueError) -> float:
-    """Check the window t1 > t0 >= 0, then resolve dt (default (t1 - t0)/2000).
+def _resolve_dt(t0, t1, dt, number=float, error=ValueError) -> float | None:
+    """Check the window t1 > t0 >= 0, then an explicit dt.
 
-    number converts an explicit dt and error is raised for a violated
+    dt=None passes through and selects error-controlled stepping.  An
+    explicit dt must be positive and take at most _MAX_STEPS steps, so
+    no record buffer is sized from an unbounded step count.  number
+    converts an explicit dt and error is raised for a violated
     invariant, so a config parser can keep its own error types while
     the window is still checked before dt is even read.
     """
     if not (t1 > t0 >= 0.0):
         raise error("t1 > t0 >= 0 violated")
-    dt = (t1 - t0) / 2000.0 if dt is None else number(dt)
+    if dt is None:
+        return None
+    dt = number(dt)
     if not dt > 0.0:
         raise error("dt > 0 violated")
+    if (t1 - t0) / dt > _MAX_STEPS:
+        raise error(f"dt = {dt!r} needs more than {_MAX_STEPS} steps over t1 - t0 = {t1 - t0!r}")
     return dt
 
 
@@ -128,8 +164,14 @@ class _BundleResult:
     abort_step: np.ndarray
     n_violations: int
     paths: np.ndarray | None
-    edge_first: np.ndarray
-    edge_last: np.ndarray
+    n_steps: int
+    n_rejected: int
+
+
+def _crossings(x: np.ndarray, crossing_tol: float | None) -> int:
+    if crossing_tol is None or x.size < 2:
+        return 0
+    return int(np.count_nonzero(np.diff(x) < -crossing_tol))
 
 
 def _rk4_bundle(
@@ -152,8 +194,6 @@ def _rk4_bundle(
     paths = np.empty((times.size, x.size)) if record else None
     if record:
         paths[0] = x
-    edges = np.empty((times.size, 2))
-    edges[0] = x[0], x[-1]
 
     for k in range(times.size - 1):
         t = times[k]
@@ -168,23 +208,93 @@ def _rk4_bundle(
         alive = alive & ~hit_node
         step = (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
         x = np.where(alive, x + step, x)
-        if crossing_tol is not None and x.size > 1:
-            n_viol += int(np.count_nonzero(np.diff(x) < -crossing_tol))
+        n_viol += _crossings(x, crossing_tol)
         if record:
             paths[k + 1] = x
-        edges[k + 1] = x[0], x[-1]
 
-    aborted = ~alive
     return _BundleResult(
         times=times,
         x_final=x,
-        aborted=aborted,
+        aborted=~alive,
         abort_step=abort_step,
         n_violations=n_viol,
         paths=paths,
-        edge_first=edges[:, 0],
-        edge_last=edges[:, 1],
+        n_steps=times.size - 1,
+        n_rejected=0,
     )
+
+
+def _dp_bundle(
+    params,
+    slits,
+    mask,
+    x0,
+    t0,
+    t1,
+    node_floor,
+    record: bool = False,
+    crossing_tol: float | None = None,
+) -> _BundleResult:
+    h_floor = (t1 - t0) / _FLOOR_STEPS
+    x = x0.copy()
+    k1, nodal = _velocity(params, slits, mask, x, t0, node_floor)
+    # A start on a node cannot be helped by a smaller step.
+    alive = ~nodal
+    abort_step = np.where(nodal, 0, -1)
+    times = [t0]
+    paths = [x] if record else None
+    n_viol = n_rejected = 0
+    t, h = t0, h_floor
+    while t < t1:
+        h = max(h, h_floor)
+        t_new = t + h
+        if t_new >= t1:
+            h, t_new = t1 - t, t1
+        ks = [k1]
+        hit = np.zeros(x.shape, dtype=bool)
+        for c, row in zip(_DP_C, _DP_A):
+            xs = x + h * sum(a * k for a, k in zip(row, ks) if a)
+            k, n = _velocity(params, slits, mask, xs, t + c * h if c < 1.0 else t_new, node_floor)
+            ks.append(k)
+            hit |= n
+        hit &= alive
+        live = alive & ~hit
+        dx = h * sum(e * k for e, k in zip(_DP_E, ks) if e)
+        err = float(np.max(np.abs(dx[live]), initial=0.0))
+        grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (_STEP_TOL / err) ** 0.2))
+        if h > h_floor and (hit.any() or err > _STEP_TOL):
+            n_rejected += 1
+            h = 0.5 * h if hit.any() else h * grow
+            continue
+        abort_step[hit] = len(times) - 1  # the last accepted sample
+        alive = live
+        x = np.where(alive, xs, x)  # xs is the stage-7 point x5
+        k1 = ks[-1]
+        t = t_new
+        times.append(t)
+        n_viol += _crossings(x, crossing_tol)
+        if record:
+            paths.append(x)
+        h *= grow
+
+    return _BundleResult(
+        times=np.array(times),
+        x_final=x,
+        aborted=~alive,
+        abort_step=abort_step,
+        n_violations=n_viol,
+        paths=np.stack(paths) if record else None,
+        n_steps=len(times) - 1,
+        n_rejected=n_rejected,
+    )
+
+
+def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, **kw) -> _BundleResult:
+    """Fixed-step RK4 for an explicit dt, error-controlled Dormand-Prince for None."""
+    x0 = np.asarray(x0, dtype=float)
+    if dt is None:
+        return _dp_bundle(params, slits, mask, x0, t0, t1, node_floor, **kw)
+    return _rk4_bundle(params, slits, mask, x0, t0, t1, dt, node_floor, **kw)
 
 
 def _tabulated_cdf(params, slits, mask, t0):
@@ -264,14 +374,12 @@ def integrate(
 ) -> Trajectory:
     """Integrate one streamline from (x0, t0) to t1.
 
-    dt defaults to (t1 - t0) / 2000.  On a nodal stage the trajectory
-    terminates with NodalAbort and the samples stop at the last
-    accepted step.
+    dt=None steps under error control; an explicit dt steps with fixed
+    RK4.  On a nodal stage the trajectory terminates with NodalAbort
+    and the samples stop at the last accepted step.
     """
     dt = _resolve_dt(t0, t1, dt)
-    res = _rk4_bundle(
-        params, slits, mask, np.array([x0]), t0, t1, dt, node_floor, record=True
-    )
+    res = _bundle(params, slits, mask, [x0], t0, t1, dt, node_floor, record=True)
     path = res.paths[:, 0]
     if res.aborted[0]:
         last = int(res.abort_step[0])
@@ -294,28 +402,13 @@ def streamlines(
     """Integrate a bundle of start positions with full path recording.
 
     Returns (times, paths, abort_steps): paths[k, i] is position i at
-    times[k]; abort_steps[i] is the index of the last accepted sample
-    of an aborted line, or -1 for a completed one.  Positions after the
-    abort index repeat the frozen value.
+    times[k], one row per accepted step; abort_steps[i] is the index of
+    the last accepted sample of an aborted line, or -1 for a completed
+    one.  Positions after the abort index repeat the frozen value.
     """
     dt = _resolve_dt(t0, t1, dt)
-    res = _rk4_bundle(
-        params, slits, mask, np.asarray(x0s, dtype=float), t0, t1, dt, node_floor,
-        record=True,
-    )
+    res = _bundle(params, slits, mask, x0s, t0, t1, dt, node_floor, record=True)
     return res.times, res.paths, res.abort_step
-
-
-def _worker_count(n_items: int) -> int:
-    env = os.environ.get("PATH_EXCITATION_THREADS")
-    try:
-        cap = int(env) if env else (os.cpu_count() or 1)
-    except ValueError:
-        raise ValidationError(
-            f"PATH_EXCITATION_THREADS: expected an integer, got {env!r}"
-        ) from None
-    by_size = max(1, n_items // _MIN_CHUNK)
-    return max(1, min(cap, by_size))
 
 
 def ensemble(
@@ -332,36 +425,17 @@ def ensemble(
 ) -> EnsembleResult:
     """Sample, integrate, and histogram an n-trajectory ensemble.
 
-    Positions are sorted before integration; adjacent pairs, including
-    pairs straddling chunk boundaries, feed the no-crossing count.
-    Aborted trajectories are excluded from the histogram but reported.
+    Positions are sorted and integrated as one bundle, so a controlled
+    step is chosen from the worst error over the whole ensemble and
+    adjacent pairs feed the no-crossing count.  Aborted trajectories
+    are excluded from the histogram but reported.
     """
     dt = _resolve_dt(t0, t1, dt)
     x0 = np.sort(sample_initial(params, slits, mask, t0, n, seed))
-
-    workers = _worker_count(n)
-    chunks = np.array_split(x0, workers)
-
-    def run(chunk: np.ndarray) -> _BundleResult:
-        return _rk4_bundle(
-            params, slits, mask, chunk, t0, t1, dt, node_floor,
-            record=False, crossing_tol=CROSSING_TOL,
-        )
-
-    if workers == 1:
-        results = [run(x0)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
-
-    n_viol = sum(r.n_violations for r in results)
-    for a, b in zip(results[:-1], results[1:]):
-        n_viol += int(np.count_nonzero(b.edge_first - a.edge_last < -CROSSING_TOL))
-
-    endpoints = np.concatenate([r.x_final for r in results])
-    aborted = np.concatenate([r.aborted for r in results])
-    n_aborted = int(np.count_nonzero(aborted))
-    survivors = endpoints[~aborted]
+    res = _bundle(
+        params, slits, mask, x0, t0, t1, dt, node_floor, crossing_tol=CROSSING_TOL
+    )
+    survivors = res.x_final[~res.aborted]
     if survivors.size:
         counts, edges = np.histogram(survivors, bins=bins)
     else:
@@ -371,7 +445,9 @@ def ensemble(
         bin_edges=edges,
         counts=counts,
         n_trajectories=n,
-        n_aborted=n_aborted,
+        n_aborted=int(np.count_nonzero(res.aborted)),
         seed=seed,
-        n_crossing_violations=n_viol,
+        n_crossing_violations=res.n_violations,
+        n_steps=res.n_steps,
+        n_rejected=res.n_rejected,
     )

@@ -29,7 +29,7 @@ class TestParseConfig:
         assert (cfg.grid.x_min, cfg.grid.x_max) == (-15.0, 15.0)
         assert cfg.grid.n_points == 2001 and cfg.grid.t == 2.0
         assert cfg.t0 == 1e-3 and cfg.t1 == 2.0
-        assert cfg.dt == pytest.approx((2.0 - 1e-3) / 2000.0)
+        assert cfg.dt is None  # error-controlled stepping
         assert cfg.n == 10000 and cfg.bins == 100 and cfg.seed == 0
         assert cfg.node_floor == 1e-12
 
@@ -317,15 +317,15 @@ class TestExitCodes:
         assert status == 4
         assert json.loads(capsys.readouterr().err)["error"] == "DegenerateDensity"
 
-    def test_non_integer_thread_cap_is_validation_exit(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PATH_EXCITATION_THREADS", "abc")
+    def test_tiny_dt_is_validation_exit(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"trajectories": {"n": 10, "dt": 0.1}}))
+        cfg_path.write_text(json.dumps({"trajectories": {"n": 10, "dt": 1e-9}}))
         status = main(["trajectories", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
         assert status == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValidationError"
-        assert "PATH_EXCITATION_THREADS" in err["message"] and "'abc'" in err["message"]
+        assert "dt" in err["message"] and "100000 steps" in err["message"]
+        assert not (tmp_path / "histogram.csv").exists()
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from path_excitation import trajectories
 from path_excitation.errors import DegenerateDensity
 from path_excitation.field import SlitMask
 from path_excitation.packet import PhysParams, SlitSpec, sigma_t
@@ -107,6 +108,20 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(P, SINGLE, ONE, 0.0, 0.5, 1.0, dt=-0.1)
 
+    def test_step_count_cap_rejects_tiny_dt_before_integrating(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a capped dt reached the integrator")
+
+        monkeypatch.setattr(trajectories, "_bundle", never)
+        with pytest.raises(ValueError, match="dt"):
+            integrate(P, SINGLE, ONE, 0.0, 0.0, 2.0, dt=1e-9)
+        with pytest.raises(ValueError, match="dt"):
+            streamlines(P, SINGLE, ONE, [0.0], 0.0, 2.0, dt=1e-9)
+        with pytest.raises(ValueError, match="dt"):
+            ensemble(P, SINGLE, ONE, 0.0, 2.0, 10, dt=1e-9)
+        # the cap itself is allowed
+        assert trajectories._resolve_dt(0.0, 2.0, 2.0 / trajectories._MAX_STEPS) > 0.0
+
 
 def test_streamlines_bundle_shapes_and_no_crossing():
     x0s = quantile_initial(P, SYMMETRIC, BOTH, 1e-3, 25)
@@ -138,22 +153,6 @@ class TestEnsemble:
         assert a.n_crossing_violations == b.n_crossing_violations == 0
         assert a.seed == 11
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        def run():
-            return ensemble(
-                P, SYMMETRIC, BOTH, 1e-3, 2.0, 9000,
-                dt=(2.0 - 1e-3) / 150, bins=60, seed=5,
-            )
-
-        monkeypatch.setenv("PATH_EXCITATION_THREADS", "1")
-        serial = run()
-        monkeypatch.setenv("PATH_EXCITATION_THREADS", "3")
-        threaded = run()
-        assert np.array_equal(serial.counts, threaded.counts)
-        assert np.array_equal(serial.bin_edges, threaded.bin_edges)
-        assert serial.n_aborted == threaded.n_aborted
-        assert serial.n_crossing_violations == threaded.n_crossing_violations
-
     def test_single_slit_endpoint_variance_tracks_dispersion(self):
         res = ensemble(P, SINGLE, ONE, 1e-3, 2.0, 1000, dt=0.01, bins=80, seed=3)
         assert res.n_aborted == 0
@@ -168,3 +167,90 @@ class TestEnsemble:
         a = ensemble(P, SINGLE, ONE, 1e-3, 1.0, 400, dt=0.05, bins=30, seed=0)
         b = ensemble(P, SINGLE, ONE, 1e-3, 1.0, 400, dt=0.05, bins=30, seed=1)
         assert not np.array_equal(a.counts, b.counts)
+
+
+# The controlled path's defaults: the CLI trajectory window and the
+# fixed step it replaces.
+T0, T1 = 1e-3, 2.0
+FLOOR_DT = (T1 - T0) / 2000
+
+# Packets launched at each other: their overlap sweeps fringes through
+# the bundle, which the error controller has to catch.
+COLLIDING = [SlitSpec(center=-3.0, drift=1.0), SlitSpec(center=3.0, drift=-1.0)]
+
+
+@pytest.fixture(scope="module")
+def controlled_default():
+    return ensemble(P, SYMMETRIC, BOTH, T0, T1, 2000, seed=0)
+
+
+class TestControlledStepping:
+    def test_ensemble_matches_fixed_floor_step(self, controlled_default):
+        fixed = ensemble(P, SYMMETRIC, BOTH, T0, T1, 2000, dt=FLOOR_DT, seed=0)
+        assert fixed.n_steps == 2000 and fixed.n_rejected == 0
+        assert np.array_equal(controlled_default.counts, fixed.counts)
+        assert np.allclose(controlled_default.bin_edges, fixed.bin_edges, rtol=0.0, atol=1e-9)
+        assert controlled_default.n_aborted == fixed.n_aborted == 0
+        assert controlled_default.n_crossing_violations == 0
+
+    def test_repeat_runs_are_bit_identical(self, controlled_default):
+        again = ensemble(P, SYMMETRIC, BOTH, T0, T1, 2000, seed=0)
+        assert np.array_equal(controlled_default.counts, again.counts)
+        assert np.array_equal(controlled_default.bin_edges, again.bin_edges)
+        assert (controlled_default.n_steps, controlled_default.n_rejected) == (
+            again.n_steps,
+            again.n_rejected,
+        )
+
+    def test_default_config_takes_at_most_100_steps(self):
+        res = ensemble(P, SYMMETRIC, BOTH, T0, T1, 10000, seed=0)
+        assert 0 < res.n_steps <= 100
+        assert res.n_aborted == 0 and res.n_crossing_violations == 0
+
+    def test_single_packet_streamline_follows_closed_form(self):
+        x0, t0 = 1.3, 0.2
+        tr = integrate(P, SINGLE, ONE, x0, t0, 2.0)
+        assert tr.terminated is Termination.COMPLETED
+        assert 2 < len(tr.samples) < 2000
+        assert tr.samples[0] == (t0, x0) and tr.samples[-1][0] == 2.0
+        ts = [t for t, _ in tr.samples]
+        assert all(b > a for a, b in zip(ts, ts[1:]))
+        s0 = sigma_t(P, SINGLE[0], t0)
+        for t, x in tr.samples:
+            assert abs(x - x0 * sigma_t(P, SINGLE[0], t) / s0) <= 1e-9
+
+    def test_start_on_node_aborts_and_neighbours_complete(self):
+        tr = integrate(P, NODED, BOTH, 0.0, 0.5, 2.0)
+        assert tr.terminated is Termination.NODAL_ABORT
+        assert tr.samples == [(0.5, 0.0)]
+        times, paths, abort_steps = streamlines(P, NODED, BOTH, [-0.5, 0.0, 0.5], 0.5, 2.0)
+        assert list(abort_steps) == [-1, 0, -1]
+        assert np.all(paths[:, 1] == 0.0)
+        assert times[-1] == 2.0
+        assert paths[-1, 0] < 0.0 < paths[-1, 2]
+
+    def test_colliding_packets_force_rejections(self):
+        res = ensemble(P, COLLIDING, BOTH, T0, 4.0, 50, seed=0)
+        assert res.n_rejected > 0
+        assert res.n_aborted == 0 and res.n_crossing_violations == 0
+        assert res.n_steps < 2000
+
+    def test_stage_in_a_node_rejects_instead_of_aborting(self, monkeypatch):
+        # A fake node region below the exact single-packet path after
+        # t = 1: the path never enters it, but the stages of a large
+        # step undershoot the convex path by more than 1e-5.
+        plain = trajectories._bundle(P, SINGLE, ONE, [1.0], 0.0, 2.0, None, 1e-12)
+        velocity = trajectories._velocity
+
+        def walled(params, slits, mask, x, t, node_floor):
+            v, nodal = velocity(params, slits, mask, x, t, node_floor)
+            exact = sigma_t(P, SINGLE[0], t) / sigma_t(P, SINGLE[0], 0.0)
+            return v, nodal | ((t > 1.0) & (x < exact - 1e-5))
+
+        monkeypatch.setattr(trajectories, "_velocity", walled)
+        fixed = integrate(P, SINGLE, ONE, 1.0, 0.0, 2.0, dt=0.1)
+        assert fixed.terminated is Termination.NODAL_ABORT
+        res = trajectories._bundle(P, SINGLE, ONE, [1.0], 0.0, 2.0, None, 1e-12)
+        assert not res.aborted[0]
+        assert res.n_rejected > plain.n_rejected
+        assert abs(res.x_final[0] - np.sqrt(2.0)) <= 1e-9

@@ -59,7 +59,12 @@ CASES = [
         {"slits": [{"center": -3.0, "weight": 0.0}, {"center": 3.0, "weight": 0.0}]},
         ("field", "verify"),
     ),
+    # the explicit-dt (fixed RK4) path at the floor step of the default window
+    ("fixed_dt", {"trajectories": {"dt": 0.0009995, "n": 500}}, ("trajectories",)),
     ("bad_window_dt", {"trajectories": {"t0": 2, "t1": 1, "dt": "x"}}, ("field",)),
+    # over the step-count cap; run with "field", which never integrates,
+    # so a checkout without the cap does not attempt 2e9 steps
+    ("cap", {"trajectories": {"dt": 1e-9}}, ("field",)),
     ("bad_dt", {"trajectories": {"dt": -1}}, ("field",)),
     ("bad_hbar", {"hbar": True}, ("field",)),
     ("bad_sigma", {"slits": [{"center": 0, "sigma0": -1}]}, ("field",)),
