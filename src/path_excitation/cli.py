@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -73,10 +74,27 @@ class RunConfig:
     node_floor: float
 
 
+class _Constant(str):
+    """A NaN, Infinity or -Infinity literal, which JSON does not allow.
+
+    parse_config keeps it as this marker, which no reader accepts as a
+    number, so the error names the key that holds it.
+    """
+
+    def __repr__(self) -> str:
+        return str(self)
+
+
 def _number(raw, where: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ParseError(f"{where}: expected a number, got {raw!r}")
-    return float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:
+        value = float("inf")
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _integer(raw, where: str) -> int:
@@ -98,7 +116,7 @@ def parse_config(text: str) -> RunConfig:
     violated invariant.  Omitted keys take documented defaults.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_Constant)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -235,16 +253,31 @@ def echo_config(cfg: RunConfig) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _fmt(value) -> str:
-    return f"{float(value):.17g}"
-
-
 def _write(path: str, text: str) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
 
 
-def _field_csv(cfg: RunConfig) -> str:
+_CSV_BLOCK = 1024  # rows formatted by one `%` operation
+
+
+def _write_csv(path: str, header: str, columns, formats) -> None:
+    """Write equal-length columns as CSV rows under header.
+
+    formats[c] is the %-format of column c: "%.17g" (nan and inf spelled
+    nan, inf, -inf) or "%d" for integer columns.  Rows are formatted in
+    blocks of _CSV_BLOCK, one `%` per block, and written as they are made.
+    """
+    row = ",".join(formats) + "\n"
+    n_rows = len(columns[0])
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, n_rows, _CSV_BLOCK):
+            block = np.column_stack([c[start:start + _CSV_BLOCK] for c in columns])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _write_field(cfg: RunConfig, path: str) -> None:
     fs = field_grid(cfg.params, list(cfg.slits), cfg.mask, cfg.grid, cfg.node_floor)
     open_idx = cfg.mask.indices()
     xs = cfg.grid.points()
@@ -255,26 +288,24 @@ def _field_csv(cfg: RunConfig) -> str:
     header = "x,P_tot,J_tot,v_tot,nodal" + "".join(
         f",R_{k + 1}" for k in range(len(open_idx))
     )
-    lines = [header]
-    for x, p, j, v, nodal, *r in zip(xs, fs.p_tot, fs.j_tot, fs.v_tot, fs.nodal, *amps):
-        cells = [_fmt(x), _fmt(p), _fmt(j), _fmt(v), str(int(nodal)), *map(_fmt, r)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    formats = ["%.17g"] * 4 + ["%d"] + ["%.17g"] * len(amps)
+    _write_csv(path, header, [xs, fs.p_tot, fs.j_tot, fs.v_tot, fs.nodal, *amps], formats)
 
 
-def _histogram_csv(edges: np.ndarray, counts: np.ndarray) -> str:
+def _write_histogram(path: str, edges: np.ndarray, counts: np.ndarray) -> None:
     total = int(counts.sum())
-    lines = ["bin_left,bin_right,count,density"]
-    for i in range(counts.size):
-        width = edges[i + 1] - edges[i]
-        density = counts[i] / (total * width) if total > 0 and width > 0 else 0.0
-        lines.append(
-            f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{int(counts[i])},{_fmt(density)}"
-        )
-    return "\n".join(lines) + "\n"
+    widths = np.diff(edges)
+    density = np.zeros(counts.shape)
+    if total > 0:
+        live = widths > 0
+        density[live] = counts[live] / (total * widths[live])
+    _write_csv(
+        path, "bin_left,bin_right,count,density",
+        [edges[:-1], edges[1:], counts, density], ["%.17g", "%.17g", "%d", "%.17g"],
+    )
 
 
-def _streamline_csv(cfg: RunConfig) -> str:
+def _write_streamlines(cfg: RunConfig, path: str) -> None:
     n_lines = min(cfg.n, MAX_STREAMLINES)
     x0s = quantile_initial(cfg.params, list(cfg.slits), cfg.mask, cfg.t0, n_lines)
     times, paths, abort_steps = streamlines(
@@ -284,18 +315,42 @@ def _streamline_csv(cfg: RunConfig) -> str:
     keep = np.unique(
         np.linspace(0, times.size - 1, min(times.size, MAX_STREAMLINE_ROWS)).astype(int)
     )
-    lines = ["traj_id,t,x"]
-    for i in range(n_lines):
-        last = abort_steps[i] if abort_steps[i] >= 0 else times.size - 1
-        for k in keep:
-            if k > last:
-                break
-            lines.append(f"{i},{_fmt(times[k])},{_fmt(paths[k, i])}")
-    return "\n".join(lines) + "\n"
+    # Line i keeps its sampled rows up to its abort step, if it aborted.
+    last = np.where(abort_steps >= 0, abort_steps, times.size - 1)
+    ids, cols = np.nonzero(keep[None, :] <= last[:, None])
+    steps = keep[cols]
+    _write_csv(
+        path, "traj_id,t,x", [ids, times[steps], paths[steps, ids]],
+        ["%d", "%.17g", "%.17g"],
+    )
+
+
+_VALUES = "<values>"  # stands in for an order's values in the encoded layout
+
+
+def _write_sorkin(path: str, payload: dict) -> None:
+    """Write json.dumps(payload, indent=2) + "\n" for a sorkin payload.
+
+    Each payload["orders"][k]["values"] is a non-empty float array.  The
+    indenting encoder is pure Python, so those arrays go through the C
+    encoder instead, with an item separator that lays the items out 8
+    spaces deep as the indenting encoder does; floats are spelled alike
+    (repr, NaN, Infinity), so the bytes are the same.
+    """
+    orders = payload["orders"]
+    layout = {**payload, "orders": [{**o, "values": _VALUES} for o in orders]}
+    pieces = json.dumps(layout, indent=2).split(json.dumps(_VALUES))
+    pad = "\n" + " " * 8
+    with open(path, "w", newline="\n") as fh:
+        fh.write(pieces[0])
+        for order, piece in zip(orders, pieces[1:]):
+            items = json.dumps(order["values"].tolist(), separators=("," + pad, ": "))
+            fh.write("[" + pad + items[1:-1] + pad[:-2] + "]" + piece)
+        fh.write("\n")
 
 
 def _run_field(cfg: RunConfig, out_dir: str) -> int:
-    _write(os.path.join(out_dir, "field.csv"), _field_csv(cfg))
+    _write_field(cfg, os.path.join(out_dir, "field.csv"))
     return 0
 
 
@@ -304,11 +359,8 @@ def _run_trajectories(cfg: RunConfig, out_dir: str) -> int:
         cfg.params, list(cfg.slits), cfg.mask, cfg.t0, cfg.t1, cfg.n, cfg.dt,
         cfg.bins, cfg.seed, cfg.node_floor,
     )
-    _write(
-        os.path.join(out_dir, "histogram.csv"),
-        _histogram_csv(result.bin_edges, result.counts),
-    )
-    _write(os.path.join(out_dir, "trajectories.csv"), _streamline_csv(cfg))
+    _write_histogram(os.path.join(out_dir, "histogram.csv"), result.bin_edges, result.counts)
+    _write_streamlines(cfg, os.path.join(out_dir, "trajectories.csv"))
     return 0
 
 
@@ -329,12 +381,12 @@ def _run_sorkin(cfg: RunConfig, out_dir: str) -> int:
                 "order": r.order,
                 "max_abs": r.max_abs,
                 "normalized_max": r.normalized_max,
-                "values": [float(v) for v in r.values],
+                "values": r.values,
             }
             for r in reports
         ],
     }
-    _write(os.path.join(out_dir, "sorkin.json"), json.dumps(payload, indent=2) + "\n")
+    _write_sorkin(os.path.join(out_dir, "sorkin.json"), payload)
     return 0 if passed else 3
 
 
@@ -374,11 +426,11 @@ def _run_packet(cfg: RunConfig, out_dir: str) -> int:
     open_idx = cfg.mask.indices()
     slit = cfg.slits[open_idx[0]] if open_idx else cfg.slits[0]
     ts = np.linspace(0.0, cfg.grid.t, 201)
-    lines = ["t,sigma,variance"]
-    for t in ts:
-        s = sigma_t(cfg.params, slit, float(t))
-        lines.append(f"{_fmt(t)},{_fmt(s)},{_fmt(s * s)}")
-    _write(os.path.join(out_dir, "packet.csv"), "\n".join(lines) + "\n")
+    sigma = np.array([sigma_t(cfg.params, slit, float(t)) for t in ts])
+    _write_csv(
+        os.path.join(out_dir, "packet.csv"), "t,sigma,variance",
+        [ts, sigma, sigma * sigma], ["%.17g"] * 3,
+    )
     return 0
 
 

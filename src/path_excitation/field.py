@@ -24,6 +24,7 @@ to rounding and the test suite enforces it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -99,11 +100,14 @@ def open_evals(
     return [eval_packet(params, slits[i], x, t) for i in mask.indices()]
 
 
-def _pairwise(evals: list[PacketEval]):
-    """Pairwise-closed-form (P_tot, J_tot); fixed summation order.
+def _pair_products(evals: list[PacketEval]):
+    """Amplitudes and per-pair products of the pairwise closed form.
 
-    The evaluations must be non-empty and share one (x, t); a
-    disagreement raises MismatchedPoint.
+    Returns (amp, pairs): amp[i] is R_i, and pairs yields, for i < k in
+    combinations order (the closed form's summation order), (i, k,
+    cross, cphi, sphi) with cross = R_i R_k and cphi, sphi the cosine
+    and sine of phi_ik.  The evaluations must be non-empty and share
+    one (x, t); a disagreement raises MismatchedPoint.
     """
     if not evals:
         raise ValueError("at least one packet evaluation is required")
@@ -111,26 +115,40 @@ def _pairwise(evals: list[PacketEval]):
     for k, ev in enumerate(evals[1:], start=1):
         if not (np.array_equal(ev.x, x0) and ev.t == t0):
             raise MismatchedPoint(f"evaluation {k} is not at the common (x, t)")
-    n = len(evals)
     amp = [np.asarray(ev.amplitude, dtype=float) for ev in evals]
     cos = [ev.phase_carrier[..., 0] for ev in evals]
     sin = [ev.phase_carrier[..., 1] for ev in evals]
+
+    def pairs():
+        for i, k in combinations(range(len(evals)), 2):
+            cphi = cos[i] * cos[k] + sin[i] * sin[k]
+            sphi = sin[i] * cos[k] - cos[i] * sin[k]
+            yield i, k, amp[i] * amp[k], cphi, sphi
+
+    return amp, pairs()
+
+
+def _pairwise(evals: list[PacketEval]):
+    """Pairwise-closed-form (P_tot, J_tot); fixed summation order.
+
+    The evaluations must be non-empty and share one (x, t); a
+    disagreement raises MismatchedPoint.  The terms of P_tot are spelled
+    as sorkin.sumrule_report spells them, which keeps its subset
+    intensities bit-identical to this sum.
+    """
+    amp, pairs = _pair_products(evals)
     v = [ev.conv_velocity for ev in evals]
     u = [ev.diff_velocity for ev in evals]
 
     shape = np.broadcast_shapes(*(a.shape for a in amp))
     p = np.zeros(shape)
     j = np.zeros(shape)
-    for i in range(n):
-        p = p + amp[i] * amp[i]
-        j = j + amp[i] * amp[i] * v[i]
-    for i in range(n):
-        for k in range(i + 1, n):
-            cross = amp[i] * amp[k]
-            cphi = cos[i] * cos[k] + sin[i] * sin[k]
-            sphi = sin[i] * cos[k] - cos[i] * sin[k]
-            p = p + 2.0 * cross * cphi
-            j = j + cross * ((v[i] + v[k]) * cphi + (u[k] - u[i]) * sphi)
+    for a, vi in zip(amp, v):
+        p = p + a * a
+        j = j + a * a * vi
+    for i, k, cross, cphi, sphi in pairs:
+        p = p + 2.0 * cross * cphi
+        j = j + cross * ((v[i] + v[k]) * cphi + (u[k] - u[i]) * sphi)
     return p, j
 
 

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .field import GridSpec, SlitMask, intensity, open_evals
+from .field import GridSpec, SlitMask, _pair_products, intensity, open_evals
 from .packet import PhysParams, SlitSpec
 
 __all__ = [
@@ -98,13 +98,22 @@ def sumrule_report(
         raise ValueError("2 <= max_order <= number of slits violated")
     xs = grid.points()
 
-    # Each slit is evaluated once; P_T sums the evaluations of T in
-    # ascending order, exactly as subset_intensity would.
-    evals = open_evals(params, slits, SlitMask.all_open(n), xs, grid.t)
+    # Each slit is evaluated once, and each slit's square and each pair's
+    # fringe term are formed once, spelled as in field._pairwise.  P_T
+    # sums the terms of T in _pairwise's order (squares, then pairs in
+    # combinations order), so it is bit-identical to subset_intensity.
+    amp, pairs = _pair_products(open_evals(params, slits, SlitMask.all_open(n), xs, grid.t))
+    squares = [a * a for a in amp]
+    fringes = {(i, k): 2.0 * cross * cphi for i, k, cross, cphi, _ in pairs}
     cache: dict[tuple[int, ...], np.ndarray] = {}
     for size in range(1, max_order + 1):
         for sub in combinations(range(n), size):
-            cache[sub] = intensity([evals[i] for i in sub])
+            p = np.zeros(xs.shape)
+            for i in sub:
+                p = p + squares[i]
+            for pair in combinations(sub, 2):
+                p = p + fringes[pair]
+            cache[sub] = p
     scale = max(float(np.max(p)) for p in cache.values())
 
     reports = []

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from path_excitation import field, oracle
+from path_excitation import cli, field, oracle
 from path_excitation.cli import echo_config, main, parse_config, run_subcommand
 from path_excitation.errors import ParseError, ValidationError
 
@@ -327,6 +327,29 @@ class TestExitCodes:
         assert "dt" in err["message"] and "100000 steps" in err["message"]
         assert not (tmp_path / "histogram.csv").exists()
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ('{"slits": [{"center": NaN}]}', "slits[0].center: expected a number, got NaN"),
+            ('{"grid": {"xmin": -1e400}}', "grid.xmin: expected a finite number, got -inf"),
+            ('{"node_floor": NaN}', "node_floor: expected a number, got NaN"),
+            ('{"mask": [Infinity]}', "mask[0]: expected an integer, got Infinity"),
+            ('{"trajectories": {"dt": -Infinity}}', "trajectories.dt: expected a number, got -Infinity"),
+            ('{"hbar": 1' + "0" * 400 + "}", "hbar: expected a finite number, got 10000"),
+        ],
+        ids=["nan-center", "overflow-xmin", "nan-node-floor", "inf-mask", "inf-dt", "huge-int"],
+    )
+    def test_non_finite_number_is_validation_exit(self, tmp_path, capsys, text, message):
+        # NaN/Infinity literals are not JSON numbers and are reported as
+        # written; numbers that overflow a double are not finite
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(text)
+        assert main(["field", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith(message)
+        assert not (tmp_path / "field.csv").exists()
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
@@ -334,3 +357,43 @@ class TestExitCodes:
     def test_unknown_subcommand_name_rejected(self):
         with pytest.raises(ValueError, match="unknown subcommand"):
             run_subcommand("render", parse_config("{}"), ".")
+
+
+class TestWriters:
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1, -2.5]
+
+    @pytest.mark.parametrize(
+        "n_rows", [1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1], ids=["one", "block", "block+1"]
+    )
+    def test_csv_matches_per_value_formatting(self, tmp_path, n_rows):
+        floats = np.resize(np.array(self.SPECIAL), n_rows)
+        negated = -floats[::-1]
+        ints = np.arange(n_rows) % 7
+        flags = ints % 2 == 0
+        path = tmp_path / "out.csv"
+        cli._write_csv(
+            str(path), "a,b,c,d", [floats, ints, negated, flags], ["%.17g", "%d", "%.17g", "%d"]
+        )
+        rows = [
+            f"{float(a):.17g},{int(b)},{float(c):.17g},{int(d)}"
+            for a, b, c, d in zip(floats, ints, negated, flags)
+        ]
+        assert path.read_bytes() == ("a,b,c,d\n" + "".join(r + "\n" for r in rows)).encode()
+
+    def test_sorkin_json_matches_indenting_encoder(self, tmp_path):
+        values = [np.array(self.SPECIAL), np.array([np.inf, 1.0, 2.0])]
+        payload = {
+            "scale": 1.5,
+            "first_order_violation": True,
+            "tolerance": 1e-12,
+            "passed": False,
+            "orders": [
+                {"order": k + 2, "max_abs": np.nan, "normalized_max": np.inf, "values": v}
+                for k, v in enumerate(values)
+            ],
+        }
+        path = tmp_path / "sorkin.json"
+        cli._write_sorkin(str(path), payload)
+        for order, v in zip(payload["orders"], values):
+            order["values"] = [float(x) for x in v]
+        assert path.read_text() == json.dumps(payload, indent=2) + "\n"

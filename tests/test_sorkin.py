@@ -92,19 +92,38 @@ def test_report_four_slit_hierarchy():
     assert by_order[4].normalized_max <= 1e-12
 
 
-def test_report_is_subset_inclusion_exclusion_bit_for_bit():
+SIX_SKEWED = [
+    SlitSpec(center=c, sigma0=s, drift=d, weight=w, phase0=ph)
+    for c, s, d, w, ph in [
+        (-10.0, 1.0, 0.3, 1.0, 0.0),
+        (-6.0, 0.8, -0.7, 0.55, 1.1),
+        (-2.0, 1.3, 0.0, 1.7, -2.3),
+        (2.0, 0.9, 1.2, 0.8, 0.4),
+        (6.0, 1.1, -0.2, 1.25, 2.9),
+        (10.0, 1.2, 0.5, 0.35, -0.6),
+    ]
+]
+GRID6 = GridSpec(-40.0, 40.0, 2001, 3.0)
+
+
+@pytest.mark.parametrize(
+    ("slits", "grid"), [(FOUR, GRID4), (SIX_SKEWED, GRID6)], ids=["four", "six-skewed"]
+)
+def test_report_is_subset_inclusion_exclusion_bit_for_bit(slits, grid):
     """One evaluation per slit gives exactly the per-subset reruns."""
-    xs = GRID4.points()
+    n = len(slits)
+    xs = grid.points()
     runs = {
-        sub: subset_intensity(P, FOUR, sub, xs, GRID4.t)
-        for size in range(1, 5)
-        for sub in combinations(range(4), size)
+        sub: subset_intensity(P, slits, sub, xs, grid.t)
+        for size in range(1, n + 1)
+        for sub in combinations(range(n), size)
     }
     scale = max(float(np.max(p)) for p in runs.values())
-    reports = sumrule_report(P, FOUR, GRID4, 4)
+    reports = sumrule_report(P, slits, grid, n)
+    assert [r.order for r in reports] == list(range(2, n + 1))
     for r in reports:
         values = np.zeros(xs.shape)
-        for s in combinations(range(4), r.order):
+        for s in combinations(range(n), r.order):
             term = np.zeros(xs.shape)
             for size in range(1, r.order + 1):
                 sign = -1.0 if (r.order - size) % 2 else 1.0

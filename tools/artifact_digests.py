@@ -65,6 +65,17 @@ CASES = [
     # over the step-count cap; run with "field", which never integrates,
     # so a checkout without the cap does not attempt 2e9 steps
     ("cap", {"trajectories": {"dt": 1e-9}}, ("field",)),
+    # NaN densities: pins the nan spelling in CSV and NaN in JSON
+    (
+        "nan_density",
+        {
+            "slits": [{"center": c} for c in (-1e200, 0.0, 1e200)],
+            "grid": {"xmin": -15.0, "xmax": 15.0, "n": 201, "t": 2.0},
+        },
+        ("field", "verify", "sorkin"),
+    ),
+    # written as the non-standard JSON literal NaN
+    ("nonfinite", {"slits": [{"center": float("nan")}]}, ("field",)),
     ("bad_dt", {"trajectories": {"dt": -1}}, ("field",)),
     ("bad_hbar", {"hbar": True}, ("field",)),
     ("bad_sigma", {"slits": [{"center": 0, "sigma0": -1}]}, ("field",)),
