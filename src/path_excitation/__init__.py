@@ -51,7 +51,6 @@ from .packet import (
     SlitSpec,
     eval_packet,
     psi,
-    psi_dx,
     sigma_t,
 )
 from .sorkin import SumRuleReport, interference_term, subset_intensity, sumrule_report

@@ -193,8 +193,8 @@ def _guidance(p, j, floor, single_v=None) -> FieldSample:
 
       assemble, pairwise_field   node_floor * peak, peak from the caller
       field_grid                 node_floor * max P_tot over the grid
-                                 (every point nodal if that max is <= 0)
-      equivalence_report         node_floor * max P_tot of the field
+                                 (every point nodal if that max is <= 0);
+                                 equivalence_report checks this field
       trajectories               node_floor * peak_bound, the in-phase
                                  bound at the stage time
     """

@@ -32,9 +32,9 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .field import GridSpec, SlitMask, field_grid
+from .field import GridSpec, SlitMask, _grid_field
 from .oracle import equivalence_report
-from .packet import PhysParams, SlitSpec, eval_packet, sigma_t
+from .packet import PhysParams, SlitSpec, sigma_t
 from .sorkin import sumrule_report
 from .trajectories import _resolve_dt, ensemble, quantile_initial, streamlines
 
@@ -74,15 +74,22 @@ class RunConfig:
     node_floor: float
 
 
-class _Constant(str):
-    """A NaN, Infinity or -Infinity literal, which JSON does not allow.
+class _Literal(str):
+    """A NaN, Infinity or -Infinity literal (not JSON), or an integer too long for int().
 
     parse_config keeps it as this marker, which no reader accepts as a
     number, so the error names the key that holds it.
     """
 
     def __repr__(self) -> str:
-        return str(self)
+        return str(self) if len(self) <= 20 else f"{self[:12]}... ({len(self)} characters)"
+
+
+def _parse_int(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _Literal(text)
 
 
 def _number(raw, where: str) -> float:
@@ -116,7 +123,7 @@ def parse_config(text: str) -> RunConfig:
     violated invariant.  Omitted keys take documented defaults.
     """
     try:
-        raw = json.loads(text, parse_constant=_Constant)
+        raw = json.loads(text, parse_constant=_Literal, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -278,18 +285,12 @@ def _write_csv(path: str, header: str, columns, formats) -> None:
 
 
 def _write_field(cfg: RunConfig, path: str) -> None:
-    fs = field_grid(cfg.params, list(cfg.slits), cfg.mask, cfg.grid, cfg.node_floor)
-    open_idx = cfg.mask.indices()
-    xs = cfg.grid.points()
-    amps = [
-        np.asarray(eval_packet(cfg.params, cfg.slits[i], xs, cfg.grid.t).amplitude)
-        for i in open_idx
-    ]
-    header = "x,P_tot,J_tot,v_tot,nodal" + "".join(
-        f",R_{k + 1}" for k in range(len(open_idx))
-    )
+    evals, fs = _grid_field(cfg.params, list(cfg.slits), cfg.mask, cfg.grid, cfg.node_floor)
+    amps = [ev.amplitude for ev in evals]
+    header = "x,P_tot,J_tot,v_tot,nodal" + "".join(f",R_{k + 1}" for k in range(len(amps)))
     formats = ["%.17g"] * 4 + ["%d"] + ["%.17g"] * len(amps)
-    _write_csv(path, header, [xs, fs.p_tot, fs.j_tot, fs.v_tot, fs.nodal, *amps], formats)
+    columns = [cfg.grid.points(), fs.p_tot, fs.j_tot, fs.v_tot, fs.nodal, *amps]
+    _write_csv(path, header, columns, formats)
 
 
 def _write_histogram(path: str, edges: np.ndarray, counts: np.ndarray) -> None:
@@ -470,7 +471,7 @@ def main(argv=None) -> int:
     helps = {
         "field": "evaluate P_tot, J_tot, v_tot on the grid and write field.csv",
         "trajectories": "integrate an ensemble; write trajectories.csv and histogram.csv",
-        "sorkin": "write sorkin.json with the interference hierarchy",
+        "sorkin": "write sorkin.json with the interference hierarchy of all slits (ignores mask)",
         "verify": "compare field against the amplitude oracle; write verify.json",
         "packet": "write packet.csv with the dispersion law of one packet",
     }

@@ -192,6 +192,21 @@ def peak_bound(params: PhysParams, slits: list[SlitSpec], mask: SlitMask, t: flo
     return total * total
 
 
+def _grid_field(params, slits, mask, grid, node_floor):
+    """field_grid's sample and the open slits' evaluations it was built from."""
+    xs = grid.points()
+    if mask.open:
+        evals = open_evals(params, slits, mask, xs, grid.t)
+        p, j = _pairwise(evals)
+    else:
+        evals, p, j = [], np.zeros(xs.shape), np.zeros(xs.shape)
+    peak = float(np.max(p))
+    if not peak > 0.0:
+        return evals, FieldSample(p, j, np.full(p.shape, np.nan), np.ones(p.shape, dtype=bool))
+    single = evals[0].conv_velocity if len(evals) == 1 else None
+    return evals, _guidance(p, j, node_floor * peak, single)
+
+
 def field_grid(
     params: PhysParams,
     slits: list[SlitSpec],
@@ -205,14 +220,4 @@ def field_grid(
     the maximum P_tot over this grid; when that maximum is not positive,
     as for an empty mask (zero intensity), every point is nodal.
     """
-    xs = grid.points()
-    if mask.open:
-        evals = open_evals(params, slits, mask, xs, grid.t)
-        p, j = _pairwise(evals)
-    else:
-        evals, p, j = [], np.zeros(xs.shape), np.zeros(xs.shape)
-    peak = float(np.max(p))
-    if not peak > 0.0:
-        return FieldSample(p, j, np.full(p.shape, np.nan), np.ones(p.shape, dtype=bool))
-    single = evals[0].conv_velocity if len(evals) == 1 else None
-    return _guidance(p, j, node_floor * peak, single)
+    return _grid_field(params, slits, mask, grid, node_floor)[1]

@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DEFAULT_NODE_FLOOR, _guidance
+from .channels import DEFAULT_NODE_FLOOR
 from .errors import BoundaryLeak, NegativeTime, NodalPoint
-from .field import GridSpec, SlitMask, _pairwise, open_evals, peak_bound
-from .packet import PhysParams, SlitSpec, psi, psi_dx
+from .field import GridSpec, SlitMask, field_grid, peak_bound
+from .packet import PhysParams, SlitSpec, psi
 
 __all__ = [
     "Superposition",
@@ -103,8 +103,8 @@ def superpose(
 def qm_current(params: PhysParams, slits: list[SlitSpec], mask: SlitMask, x, t: float):
     """Density and current (P, J) of the superposed profile.
 
-    J = (hbar/m) Im(Psi* dPsi/dx) with the derivative assembled from
-    the packets' closed-form derivatives, no finite differencing.
+    J = (hbar/m) Im(Psi* dPsi/dx) with each packet's closed-form
+    dpsi/dx = psi * (-xi/(2 s_t) + i m drift/hbar), no finite differencing.
     """
     mask.check_against(len(slits))
     if float(t) < 0.0:
@@ -113,8 +113,15 @@ def qm_current(params: PhysParams, slits: list[SlitSpec], mask: SlitMask, x, t: 
     total = np.zeros(x.shape, dtype=complex)
     dtotal = np.zeros(x.shape, dtype=complex)
     for i in mask.indices():
-        total = total + psi(params, slits[i], x, t)
-        dtotal = dtotal + psi_dx(params, slits[i], x, t)
+        slit = slits[i]
+        ps = psi(params, slit, x, t)
+        st = slit.sigma0**2 + 1j * params.diffusion * t
+        xi = x - slit.center - slit.drift * t
+        factor = -xi / (2.0 * st) + 1j * params.mass * slit.drift / params.hbar
+        total = total + ps
+        # psi times factor in this order: numpy may swap the operands of an
+        # inline product, and a complex product is not bitwise commutative.
+        dtotal = dtotal + np.multiply(ps, factor)
     p = total.real**2 + total.imag**2
     j = (params.hbar / params.mass) * (np.conj(total) * dtotal).imag
     return p, j
@@ -234,20 +241,15 @@ def equivalence_report(
     grid: GridSpec,
     node_floor: float = DEFAULT_NODE_FLOOR,
 ) -> EquivalenceReport:
-    """Compare the pairwise field against the oracle over a grid.
+    """Compare field_grid's field against the oracle over a grid.
 
-    Velocity deviations are scaled by the largest live velocity of
-    either route (see EquivalenceReport), evaluated only where the
-    field flags the point non-nodal; the nodal reference is the field's
-    own maximum P_tot.
+    The nodal flags are field_grid's (reference: the grid maximum of
+    P_tot).  Velocity deviations are scaled by the largest live velocity
+    of either route (see EquivalenceReport), evaluated only where the
+    field flags the point non-nodal.
     """
-    xs = grid.points()
-    evals = open_evals(params, slits, mask, xs, grid.t)
-    p, j = _pairwise(evals)
-    single = evals[0].conv_velocity if len(evals) == 1 else None
-    sample = _guidance(p, j, node_floor * float(np.max(p)), single)
-
-    p_o, j_o = qm_current(params, slits, mask, xs, grid.t)
+    sample = field_grid(params, slits, mask, grid, node_floor)
+    p_o, j_o = qm_current(params, slits, mask, grid.points(), grid.t)
     v_o = np.where(sample.nodal, np.nan, j_o / np.where(sample.nodal, 1.0, p_o))
 
     dev_p = float(np.max(np.abs(sample.p_tot - p_o)))

@@ -35,7 +35,6 @@ __all__ = [
     "sigma_t",
     "eval_packet",
     "psi",
-    "psi_dx",
 ]
 
 
@@ -80,7 +79,8 @@ class PacketEval:
     """One packet evaluated at a common space-time point.
 
     amplitude      weighted envelope, weight * R_unit(x, t), >= 0
-    phase_carrier  unit vector (cos theta, sin theta), last axis length 2
+    phase_carrier  unit vector (cos theta, sin theta), last axis length 2;
+                   (1, 0) where the amplitude is 0
     conv_velocity  convective velocity v = grad(S)/m
     diff_velocity  signed diffusive velocity u
     x, t           the evaluation point (x may be an array)
@@ -125,6 +125,8 @@ def eval_packet(params: PhysParams, slit: SlitSpec, x, t: float) -> PacketEval:
         + slit.phase0
         - 0.5 * np.arctan(d * t / s0sq)
     )
+    # finite where the amplitude underflows to 0 (theta may overflow there)
+    theta = np.where(amp > 0.0, theta, 0.0)
     carrier = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     v = slit.drift + xi * d * d * t / (s0sq * ssq)
     u = (params.hbar / params.mass) * xi / (2.0 * ssq)
@@ -153,15 +155,3 @@ def psi(params: PhysParams, slit: SlitSpec, x, t: float) -> np.ndarray:
     )
     pref = slit.weight * (2.0 * np.pi * s0sq) ** -0.25 / np.sqrt(1.0 + 1j * d * t / s0sq)
     return pref * np.exp(-(xi * xi) / (4.0 * st) + 1j * drift_phase)
-
-
-def psi_dx(params: PhysParams, slit: SlitSpec, x, t: float) -> np.ndarray:
-    """Spatial derivative of psi, exact: psi * (-xi/(2 s_t) + i m drift / hbar)."""
-    t = _check_time(t)
-    x = np.asarray(x, dtype=float)
-    st = slit.sigma0**2 + 1j * params.diffusion * t
-    xi = x - slit.center - slit.drift * t
-    return psi(params, slit, x, t) * (
-        -xi / (2.0 * st) + 1j * params.mass * slit.drift / params.hbar
-    )
-

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from path_excitation import cli, field, oracle
+from path_excitation import cli, field
 from path_excitation.cli import echo_config, main, parse_config, run_subcommand
 from path_excitation.errors import ParseError, ValidationError
 
@@ -138,6 +138,12 @@ class TestFieldCommand:
             cells = row.split(",")
             assert float(cells[1]) == 0.0
             assert cells[4] == "1"
+        # verify compares that same dark field: every point nodal, no deviation
+        assert main(["verify", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        payload = json.loads(read(out / "verify.json"))
+        assert payload["n_nodal"] == 9
+        assert payload["max_abs_dev_p"] == payload["max_abs_dev_j"] == 0.0
+        assert payload["max_rel_dev_v"] == 0.0
 
 
 class TestVerifyCommand:
@@ -175,10 +181,12 @@ class TestVerifyCommand:
     def test_flipped_diffusive_cross_term_fails(self, tmp_path, monkeypatch):
         # u enters the pairwise field only through the (u_k - u_i) cross
         # term, so negating every diff_velocity flips exactly its sign.
-        def mutant(evals):
-            return field._pairwise([replace(ev, diff_velocity=-ev.diff_velocity) for ev in evals])
+        original = field._pairwise
 
-        monkeypatch.setattr(oracle, "_pairwise", mutant)
+        def mutant(evals):
+            return original([replace(ev, diff_velocity=-ev.diff_velocity) for ev in evals])
+
+        monkeypatch.setattr(field, "_pairwise", mutant)
         assert main(["verify", "--out-dir", str(tmp_path)]) == 3
         assert json.loads(read(tmp_path / "verify.json"))["max_rel_dev_v"] > 1e-2
 
@@ -221,6 +229,15 @@ class TestSorkinCommand:
         payload = json.loads(read(tmp_path / "sorkin.json"))
         assert payload["passed"] is False
         assert payload["first_order_violation"] is False
+
+    def test_mask_is_ignored(self, tmp_path):
+        # the hierarchy opens every subset of the configured slits itself
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"mask": [0]}))
+        masked, full = tmp_path / "masked", tmp_path / "full"
+        assert main(["sorkin", "--config", str(cfg_path), "--out-dir", str(masked)]) == 0
+        assert main(["sorkin", "--out-dir", str(full)]) == 0
+        assert (masked / "sorkin.json").read_bytes() == (full / "sorkin.json").read_bytes()
 
     def test_single_slit_is_invalid(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
@@ -336,12 +353,20 @@ class TestExitCodes:
             ('{"mask": [Infinity]}', "mask[0]: expected an integer, got Infinity"),
             ('{"trajectories": {"dt": -Infinity}}', "trajectories.dt: expected a number, got -Infinity"),
             ('{"hbar": 1' + "0" * 400 + "}", "hbar: expected a finite number, got 10000"),
+            (
+                '{"grid": {"n": 1' + "0" * 4300 + "}}",
+                "grid.n: expected an integer, got 100000000000... (4301 characters)",
+            ),
         ],
-        ids=["nan-center", "overflow-xmin", "nan-node-floor", "inf-mask", "inf-dt", "huge-int"],
+        ids=[
+            "nan-center", "overflow-xmin", "nan-node-floor", "inf-mask", "inf-dt", "huge-int",
+            "over-long-int",
+        ],
     )
     def test_non_finite_number_is_validation_exit(self, tmp_path, capsys, text, message):
         # NaN/Infinity literals are not JSON numbers and are reported as
-        # written; numbers that overflow a double are not finite
+        # written; numbers that overflow a double are not finite; integer
+        # literals too long for int() are reported shortened
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(text)
         assert main(["field", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2

@@ -217,6 +217,17 @@ def test_grid_is_pairwise_field_at_grid_peak_bit_for_bit(slits, open_idx):
     assert np.any(fs.nodal) and not np.all(fs.nodal)
 
 
+def test_far_slits_leave_the_field_bit_for_bit():
+    """Slits whose packets underflow to 0 on the grid add nothing, not NaN."""
+    grid = GridSpec(-15.0, 15.0, 201, 2.0)
+    far = [SlitSpec(center=-1e200), SlitSpec(center=0.0), SlitSpec(center=1e200)]
+    with np.errstate(over="ignore"):
+        fs = field_grid(P, far, SlitMask.all_open(3), grid)
+    alone = field_grid(P, [SlitSpec(center=0.0)], SlitMask([0]), grid)
+    assert np.array_equal(fs.p_tot, alone.p_tot)
+    assert np.array_equal(fs.j_tot, alone.j_tot)
+
+
 def test_peak_bound_dominates_grid():
     grid = GridSpec(-15.0, 15.0, 2001, 2.0)
     bound = peak_bound(P, SYMMETRIC, SlitMask.all_open(2), grid.t)

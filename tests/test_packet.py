@@ -210,3 +210,11 @@ def test_diffusion_scale_tracks_constants():
 def test_eval_rejects_negative_time():
     with pytest.raises(NegativeTime):
         eval_packet(P, UNIT, 0.0, -1e-9)
+
+
+def test_far_slit_carrier_is_finite():
+    # the amplitude underflows to 0 and theta overflows; the carrier stays a unit vector
+    with np.errstate(over="ignore"):
+        ev = eval_packet(P, SlitSpec(1e200), [0.0, 1.0], 2.0)
+    assert np.array_equal(ev.amplitude, np.zeros(2))
+    assert np.array_equal(ev.phase_carrier, [[1.0, 0.0], [1.0, 0.0]])
