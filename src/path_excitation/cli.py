@@ -32,11 +32,17 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .field import GridSpec, SlitMask, _grid_field
+from .field import GridSpec, SlitMask, _grid_blocks
 from .oracle import equivalence_report
 from .packet import PhysParams, SlitSpec, sigma_t
 from .sorkin import sumrule_report
-from .trajectories import _resolve_dt, ensemble, quantile_initial, streamlines
+from .trajectories import (
+    _MAX_TRAJECTORIES,
+    _resolve_dt,
+    ensemble,
+    quantile_initial,
+    streamlines,
+)
 
 __all__ = ["RunConfig", "parse_config", "echo_config", "run_subcommand", "main"]
 
@@ -198,6 +204,8 @@ def parse_config(text: str) -> RunConfig:
     n = _integer(traj_raw.get("n", 10000), "trajectories.n")
     if n < 1:
         raise ValidationError("n >= 1 violated")
+    if n > _MAX_TRAJECTORIES:
+        raise ValidationError(f"trajectories.n = {n} exceeds the cap of {_MAX_TRAJECTORIES}")
     bins = _integer(traj_raw.get("bins", 100), "trajectories.bins")
     if bins < 1:
         raise ValidationError("bins >= 1 violated")
@@ -268,28 +276,33 @@ def _write(path: str, text: str) -> None:
 _CSV_BLOCK = 1024  # rows formatted by one `%` operation
 
 
-def _write_csv(path: str, header: str, columns, formats) -> None:
-    """Write equal-length columns as CSV rows under header.
+def _write_csv(path: str, header: str, blocks, formats) -> None:
+    """Write blocks of equal-length columns as CSV rows under header.
 
-    formats[c] is the %-format of column c: "%.17g" (nan and inf spelled
-    nan, inf, -inf) or "%d" for integer columns.  Rows are formatted in
-    blocks of _CSV_BLOCK, one `%` per block, and written as they are made.
+    Each item of blocks is a list of columns holding the next rows, so a
+    caller can stream rows block by block.  formats[c] is the %-format
+    of column c: "%.17g" (nan and inf spelled nan, inf, -inf) or "%d"
+    for integer columns.  Rows are formatted in runs of _CSV_BLOCK, one
+    `%` per run, and written as they are made.
     """
     row = ",".join(formats) + "\n"
-    n_rows = len(columns[0])
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for start in range(0, n_rows, _CSV_BLOCK):
-            block = np.column_stack([c[start:start + _CSV_BLOCK] for c in columns])
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        for columns in blocks:
+            for start in range(0, len(columns[0]), _CSV_BLOCK):
+                block = np.column_stack([c[start:start + _CSV_BLOCK] for c in columns])
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_field(cfg: RunConfig, path: str) -> None:
-    evals, fs = _grid_field(cfg.params, list(cfg.slits), cfg.mask, cfg.grid, cfg.node_floor)
-    amps = [ev.amplitude for ev in evals]
-    header = "x,P_tot,J_tot,v_tot,nodal" + "".join(f",R_{k + 1}" for k in range(len(amps)))
-    formats = ["%.17g"] * 4 + ["%d"] + ["%.17g"] * len(amps)
-    columns = [cfg.grid.points(), fs.p_tot, fs.j_tot, fs.v_tot, fs.nodal, *amps]
+    n_open = len(cfg.mask.open)
+    header = "x,P_tot,J_tot,v_tot,nodal" + "".join(f",R_{k + 1}" for k in range(n_open))
+    formats = ["%.17g"] * 4 + ["%d"] + ["%.17g"] * n_open
+    blocks = _grid_blocks(cfg.params, list(cfg.slits), cfg.mask, cfg.grid, cfg.node_floor)
+    columns = (
+        [x, fs.p_tot, fs.j_tot, fs.v_tot, fs.nodal, *(ev.amplitude for ev in evals)]
+        for x, evals, fs in blocks
+    )
     _write_csv(path, header, columns, formats)
 
 
@@ -302,7 +315,7 @@ def _write_histogram(path: str, edges: np.ndarray, counts: np.ndarray) -> None:
         density[live] = counts[live] / (total * widths[live])
     _write_csv(
         path, "bin_left,bin_right,count,density",
-        [edges[:-1], edges[1:], counts, density], ["%.17g", "%.17g", "%d", "%.17g"],
+        [[edges[:-1], edges[1:], counts, density]], ["%.17g", "%.17g", "%d", "%.17g"],
     )
 
 
@@ -321,12 +334,13 @@ def _write_streamlines(cfg: RunConfig, path: str) -> None:
     ids, cols = np.nonzero(keep[None, :] <= last[:, None])
     steps = keep[cols]
     _write_csv(
-        path, "traj_id,t,x", [ids, times[steps], paths[steps, ids]],
+        path, "traj_id,t,x", [[ids, times[steps], paths[steps, ids]]],
         ["%d", "%.17g", "%.17g"],
     )
 
 
 _VALUES = "<values>"  # stands in for an order's values in the encoded layout
+_JSON_BLOCK = 4096  # values encoded by one C-encoder call
 
 
 def _write_sorkin(path: str, payload: dict) -> None:
@@ -334,19 +348,25 @@ def _write_sorkin(path: str, payload: dict) -> None:
 
     Each payload["orders"][k]["values"] is a non-empty float array.  The
     indenting encoder is pure Python, so those arrays go through the C
-    encoder instead, with an item separator that lays the items out 8
-    spaces deep as the indenting encoder does; floats are spelled alike
-    (repr, NaN, Infinity), so the bytes are the same.
+    encoder instead, _JSON_BLOCK values per call, with an item separator
+    that lays the items out 8 spaces deep as the indenting encoder does;
+    floats are spelled alike (repr, NaN, Infinity), so the bytes are the
+    same.
     """
     orders = payload["orders"]
     layout = {**payload, "orders": [{**o, "values": _VALUES} for o in orders]}
     pieces = json.dumps(layout, indent=2).split(json.dumps(_VALUES))
     pad = "\n" + " " * 8
+    sep = "," + pad
     with open(path, "w", newline="\n") as fh:
         fh.write(pieces[0])
         for order, piece in zip(orders, pieces[1:]):
-            items = json.dumps(order["values"].tolist(), separators=("," + pad, ": "))
-            fh.write("[" + pad + items[1:-1] + pad[:-2] + "]" + piece)
+            values = order["values"]
+            fh.write("[" + pad)
+            for start in range(0, len(values), _JSON_BLOCK):
+                chunk = values[start:start + _JSON_BLOCK].tolist()
+                fh.write((sep if start else "") + json.dumps(chunk, separators=(sep, ": "))[1:-1])
+            fh.write(pad[:-2] + "]" + piece)
         fh.write("\n")
 
 
@@ -430,7 +450,7 @@ def _run_packet(cfg: RunConfig, out_dir: str) -> int:
     sigma = np.array([sigma_t(cfg.params, slit, float(t)) for t in ts])
     _write_csv(
         os.path.join(out_dir, "packet.csv"), "t,sigma,variance",
-        [ts, sigma, sigma * sigma], ["%.17g"] * 3,
+        [[ts, sigma, sigma * sigma]], ["%.17g"] * 3,
     )
     return 0
 

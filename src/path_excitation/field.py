@@ -192,19 +192,41 @@ def peak_bound(params: PhysParams, slits: list[SlitSpec], mask: SlitMask, t: flo
     return total * total
 
 
-def _grid_field(params, slits, mask, grid, node_floor):
-    """field_grid's sample and the open slits' evaluations it was built from."""
+_BLOCK = 4096  # grid points evaluated together on the streamed grid path
+
+
+def _grid_blocks(params, slits, mask, grid, node_floor):
+    """The grid field block by block: (x, evals, sample) per block of grid.points().
+
+    Consecutive blocks of _BLOCK points cover the grid in order.  evals
+    are the open slits' evaluations at x and sample is their field under
+    field_grid's nodal rule.  Every operation is elementwise, so the
+    blocks are bit-identical to one whole-grid evaluation.  The nodal
+    reference, the grid maximum of P_tot, is taken by a first pass that
+    evaluates every block before this returns; the returned generator
+    evaluates each block again, so memory stays at the blocks and x.
+    """
     xs = grid.points()
-    if mask.open:
-        evals = open_evals(params, slits, mask, xs, grid.t)
-        p, j = _pairwise(evals)
-    else:
-        evals, p, j = [], np.zeros(xs.shape), np.zeros(xs.shape)
-    peak = float(np.max(p))
-    if not peak > 0.0:
-        return evals, FieldSample(p, j, np.full(p.shape, np.nan), np.ones(p.shape, dtype=bool))
-    single = evals[0].conv_velocity if len(evals) == 1 else None
-    return evals, _guidance(p, j, node_floor * peak, single)
+    blocks = [xs[start:start + _BLOCK] for start in range(0, xs.size, _BLOCK)]
+
+    def totals(x):
+        if not mask.open:
+            return [], np.zeros(x.shape), np.zeros(x.shape)
+        evals = open_evals(params, slits, mask, x, grid.t)
+        return (evals, *_pairwise(evals))
+
+    # np.max over the block maxima keeps a NaN wherever it occurs
+    peak = float(np.max([np.max(totals(x)[1]) for x in blocks]))
+
+    def sample(x):
+        evals, p, j = totals(x)
+        if not peak > 0.0:
+            dark = FieldSample(p, j, np.full(p.shape, np.nan), np.ones(p.shape, dtype=bool))
+            return x, evals, dark
+        single = evals[0].conv_velocity if len(evals) == 1 else None
+        return x, evals, _guidance(p, j, node_floor * peak, single)
+
+    return map(sample, blocks)
 
 
 def field_grid(
@@ -220,4 +242,6 @@ def field_grid(
     the maximum P_tot over this grid; when that maximum is not positive,
     as for an empty mask (zero intensity), every point is nodal.
     """
-    return _grid_field(params, slits, mask, grid, node_floor)[1]
+    blocks = _grid_blocks(params, slits, mask, grid, node_floor)
+    parts = [(fs.p_tot, fs.j_tot, fs.v_tot, fs.nodal) for _, _, fs in blocks]
+    return FieldSample(*(np.concatenate(column) for column in zip(*parts)))

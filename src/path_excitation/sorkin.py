@@ -19,7 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .field import GridSpec, SlitMask, _pair_products, intensity, open_evals
+from .errors import ValidationError
+from .field import _BLOCK, GridSpec, SlitMask, _pair_products, intensity, open_evals
 from .packet import PhysParams, SlitSpec
 
 __all__ = [
@@ -28,6 +29,13 @@ __all__ = [
     "interference_term",
     "sumrule_report",
 ]
+
+# Budget on 3^n x grid points, the array-element terms of the n-slit
+# inclusion-exclusion.  It admits 12 slits on 10001 points.
+_MAX_TERMS = 6 * 10**9
+# Subset intensities held per block: 2^n of them, so the block shrinks
+# from _BLOCK above 10 slits to keep this many values.
+_TABLE_VALUES = _BLOCK << 10
 
 
 @dataclass(frozen=True)
@@ -59,13 +67,14 @@ def _inclusion_exclusion(s: tuple[int, ...], subset_p, shape) -> np.ndarray:
 
     subset_p(T) gives P_T for an ascending index tuple T; terms are
     summed by subset size, then in combinations order, so the result is
-    bit-identical however P_T is obtained.
+    bit-identical however P_T is obtained.  Subtracting P_T is adding
+    -P_T exactly, and the sum is formed in place.
     """
     total = np.zeros(shape)
     for size in range(1, len(s) + 1):
-        sign = -1.0 if (len(s) - size) % 2 else 1.0
+        combine = np.subtract if (len(s) - size) % 2 else np.add
         for sub in combinations(s, size):
-            total = total + sign * subset_p(sub)
+            combine(total, subset_p(sub), out=total)
     return total
 
 
@@ -92,41 +101,59 @@ def sumrule_report(
     normalized_max exceeding roughly 1e-6 confirms a live fringe term,
     and for the default geometries it is order 0.1 or larger.  Orders
     three and above should be zero to rounding.
+
+    The grid is evaluated in blocks, so only one block's subset
+    intensities are held at a time.  A slit count whose 3^n x grid
+    points exceeds _MAX_TERMS raises ValidationError naming slits
+    before anything is evaluated.
     """
     n = len(slits)
     if not 2 <= max_order <= n:
         raise ValueError("2 <= max_order <= number of slits violated")
+    if 3**n * grid.n_points > _MAX_TERMS:
+        raise ValidationError(
+            f"slits: {n} slits on {grid.n_points} grid points need 3^{n} x {grid.n_points}"
+            f" = {3**n * grid.n_points} inclusion-exclusion terms, over the budget of {_MAX_TERMS}"
+        )
     xs = grid.points()
-
-    # Each slit is evaluated once, and each slit's square and each pair's
-    # fringe term are formed once, spelled as in field._pairwise.  P_T
-    # sums the terms of T in _pairwise's order (squares, then pairs in
-    # combinations order), so it is bit-identical to subset_intensity.
-    amp, pairs = _pair_products(open_evals(params, slits, SlitMask.all_open(n), xs, grid.t))
-    squares = [a * a for a in amp]
-    fringes = {(i, k): 2.0 * cross * cphi for i, k, cross, cphi, _ in pairs}
-    cache: dict[tuple[int, ...], np.ndarray] = {}
-    for size in range(1, max_order + 1):
-        for sub in combinations(range(n), size):
-            p = np.zeros(xs.shape)
+    step = min(_BLOCK, _TABLE_VALUES >> n)  # >= 8: the budget caps n at 19
+    subsets = [sub for size in range(1, max_order + 1) for sub in combinations(range(n), size)]
+    peaks = np.full(len(subsets), -np.inf)  # per subset, max P_T so far
+    values = {k: np.zeros(xs.shape) for k in range(2, max_order + 1)}
+    for start in range(0, xs.size, step):
+        x = xs[start:start + step]
+        # Each slit is evaluated once per block, and each slit's square and
+        # each pair's fringe term are formed once, spelled as in
+        # field._pairwise.  P_T sums the terms of T in _pairwise's order
+        # (squares, then pairs in combinations order), so it is
+        # bit-identical to subset_intensity.
+        amp, pairs = _pair_products(open_evals(params, slits, SlitMask.all_open(n), x, grid.t))
+        squares = [a * a for a in amp]
+        fringes = {(i, k): 2.0 * cross * cphi for i, k, cross, cphi, _ in pairs}
+        cache: dict[tuple[int, ...], np.ndarray] = {}
+        for sub in subsets:
+            p = np.zeros(x.shape)
             for i in sub:
-                p = p + squares[i]
+                np.add(p, squares[i], out=p)
             for pair in combinations(sub, 2):
-                p = p + fringes[pair]
+                np.add(p, fringes[pair], out=p)
             cache[sub] = p
-    scale = max(float(np.max(p)) for p in cache.values())
+        peaks = np.maximum(peaks, [np.max(p) for p in cache.values()])
+        for k, v in values.items():
+            block = v[start:start + step]
+            for s in combinations(range(n), k):
+                term = _inclusion_exclusion(s, cache.__getitem__, x.shape)
+                np.maximum(block, np.abs(term, out=term), out=block)
+    # Python max over the subsets in cache order, as over whole-grid runs
+    scale = max(float(p) for p in peaks)
 
     reports = []
-    for k in range(2, max_order + 1):
-        values = np.zeros(xs.shape)
-        for s in combinations(range(n), k):
-            term = _inclusion_exclusion(s, cache.__getitem__, xs.shape)
-            values = np.maximum(values, np.abs(term))
-        max_abs = float(np.max(values))
+    for k, v in values.items():
+        max_abs = float(np.max(v))
         reports.append(
             SumRuleReport(
                 order=k,
-                values=values,
+                values=v,
                 max_abs=max_abs,
                 scale=scale,
                 normalized_max=max_abs / scale if scale > 0.0 else 0.0,

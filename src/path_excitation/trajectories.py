@@ -49,6 +49,10 @@ CROSSING_TOL = 1e-9
 _SAMPLER_POINTS = 8192
 _FLOOR_STEPS = 2000  # the floor step of the controlled path is (t1 - t0)/2000
 _MAX_STEPS = 100_000  # an explicit dt may take at most this many steps
+# An ensemble holds about 270 B per trajectory with 2 slits and 520 B
+# with 8 (peak RSS slope from 5e4 to 2e5 trajectories), so this many
+# stay under about 0.5 GB.
+_MAX_TRAJECTORIES = 1_000_000
 _STEP_TOL = 1e-10  # accepted |x5 - x4|, absolute, worst live trajectory
 
 # Dormand-Prince 5(4): nodes, stage matrix rows for stages 2..7, and the

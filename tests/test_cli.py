@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from path_excitation import cli, field
+from path_excitation import cli, field, sorkin, trajectories
 from path_excitation.cli import echo_config, main, parse_config, run_subcommand
 from path_excitation.errors import ParseError, ValidationError
+from path_excitation.packet import PhysParams, SlitSpec
 
 
 def read(path):
@@ -247,6 +248,36 @@ class TestSorkinCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValidationError"
 
+    def test_work_budget_rejects_before_evaluating(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("an over-budget config reached the evaluation")
+
+        monkeypatch.setattr(sorkin, "open_evals", never)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(
+            json.dumps(
+                {"slits": [{"center": 4.0 * k} for k in range(13)], "grid": {"n": 3764}}
+            )
+        )
+        status = main(["sorkin", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        assert status == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith("slits: 13 slits on 3764 grid points")
+        assert not (tmp_path / "sorkin.json").exists()
+
+    def test_work_budget_admits_twelve_slits_on_10001_points(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(sorkin, "open_evals", reached)
+        slits = [SlitSpec(center=4.0 * k) for k in range(12)]
+        with pytest.raises(Reached):
+            sorkin.sumrule_report(PhysParams(), slits, field.GridSpec(-40.0, 40.0, 10001, 3.0), 12)
+
 
 SMALL_TRAJ = {
     "grid": {"xmin": -12.0, "xmax": 12.0, "n": 101, "t": 1.0},
@@ -334,6 +365,22 @@ class TestExitCodes:
         assert status == 4
         assert json.loads(capsys.readouterr().err)["error"] == "DegenerateDensity"
 
+    def test_trajectory_count_cap_exits_before_allocating(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a capped trajectories.n reached the ensemble")
+
+        monkeypatch.setattr(cli, "ensemble", never)
+        cap = trajectories._MAX_TRAJECTORIES
+        assert parse_config(json.dumps({"trajectories": {"n": cap}})).n == cap
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"trajectories": {"n": cap + 1}}))
+        status = main(["trajectories", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        assert status == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert err["message"] == f"trajectories.n = {cap + 1} exceeds the cap of {cap}"
+        assert not (tmp_path / "histogram.csv").exists()
+
     def test_tiny_dt_is_validation_exit(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"trajectories": {"n": 10, "dt": 1e-9}}))
@@ -397,13 +444,24 @@ class TestWriters:
         flags = ints % 2 == 0
         path = tmp_path / "out.csv"
         cli._write_csv(
-            str(path), "a,b,c,d", [floats, ints, negated, flags], ["%.17g", "%d", "%.17g", "%d"]
+            str(path), "a,b,c,d", [[floats, ints, negated, flags]], ["%.17g", "%d", "%.17g", "%d"]
         )
         rows = [
             f"{float(a):.17g},{int(b)},{float(c):.17g},{int(d)}"
             for a, b, c, d in zip(floats, ints, negated, flags)
         ]
         assert path.read_bytes() == ("a,b,c,d\n" + "".join(r + "\n" for r in rows)).encode()
+
+    def test_csv_blocks_write_the_bytes_of_one_block(self, tmp_path):
+        n_rows = 3 * cli._CSV_BLOCK + 5
+        floats = np.resize(np.array(self.SPECIAL), n_rows)
+        flags = np.arange(n_rows) % 3 == 0
+        whole, ragged = tmp_path / "whole.csv", tmp_path / "ragged.csv"
+        cli._write_csv(str(whole), "a,b", [[floats, flags]], ["%.17g", "%d"])
+        cuts = [0, 1, 1, cli._CSV_BLOCK + 3, 2 * cli._CSV_BLOCK, n_rows]
+        blocks = ([floats[a:b], flags[a:b]] for a, b in zip(cuts, cuts[1:]))
+        cli._write_csv(str(ragged), "a,b", blocks, ["%.17g", "%d"])
+        assert ragged.read_bytes() == whole.read_bytes()
 
     def test_sorkin_json_matches_indenting_encoder(self, tmp_path):
         values = [np.array(self.SPECIAL), np.array([np.inf, 1.0, 2.0])]
@@ -421,4 +479,15 @@ class TestWriters:
         cli._write_sorkin(str(path), payload)
         for order, v in zip(payload["orders"], values):
             order["values"] = [float(x) for x in v]
+        assert path.read_text() == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "n_values", [cli._JSON_BLOCK, 2 * cli._JSON_BLOCK + 1], ids=["block", "2block+1"]
+    )
+    def test_sorkin_json_chunks_match_indenting_encoder(self, tmp_path, n_values):
+        values = np.resize(np.array(self.SPECIAL), n_values)
+        payload = {"scale": 1.0, "orders": [{"order": 2, "values": values}]}
+        path = tmp_path / "sorkin.json"
+        cli._write_sorkin(str(path), payload)
+        payload["orders"][0]["values"] = [float(x) for x in values]
         assert path.read_text() == json.dumps(payload, indent=2) + "\n"

@@ -5,9 +5,17 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
 
-from path_excitation.channels import assemble, build_channels
+from path_excitation.channels import (
+    DEFAULT_NODE_FLOOR,
+    FieldSample,
+    _guidance,
+    assemble,
+    build_channels,
+)
 from path_excitation.errors import MismatchedPoint, NegativeTime
 from path_excitation.field import (
+    _BLOCK,
+    _pairwise,
     GridSpec,
     SlitMask,
     field_grid,
@@ -226,6 +234,72 @@ def test_far_slits_leave_the_field_bit_for_bit():
     alone = field_grid(P, [SlitSpec(center=0.0)], SlitMask([0]), grid)
     assert np.array_equal(fs.p_tot, alone.p_tot)
     assert np.array_equal(fs.j_tot, alone.j_tot)
+
+
+# Three slits of unequal width and weight, with drift and phase offsets.
+SKEWED = [
+    SlitSpec(center=-4.0, sigma0=0.7, drift=0.4, weight=0.6, phase0=0.3),
+    SlitSpec(center=0.5, sigma0=1.3, drift=-0.25, weight=1.4, phase0=-1.1),
+    SlitSpec(center=5.0, sigma0=0.9, drift=0.1, weight=0.8, phase0=2.0),
+]
+# Grid sizes around one block and one ragged multi-block grid.
+BLOCK_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17]
+# Heavy packets far right: P_tot overflows only in the third block of a
+# 3 * _BLOCK + 17 point grid on [-15, 15], to NaN where two heavy
+# packets meet in antiphase and to inf for one heavy packet alone.
+LATE_NAN = [
+    SlitSpec(center=-5.0),
+    SlitSpec(center=25.0, weight=1e160),
+    SlitSpec(center=25.0, weight=1e160, phase0=np.pi),
+]
+LATE_INF = [SlitSpec(center=-5.0), SlitSpec(center=25.0, weight=1e160)]
+
+
+def whole_grid_field(params, slits, mask, grid, node_floor=DEFAULT_NODE_FLOOR):
+    """field_grid's rule on one whole-grid evaluation: the reference for blocks."""
+    xs = grid.points()
+    if mask.open:
+        evals = open_evals(params, slits, mask, xs, grid.t)
+        p, j = _pairwise(evals)
+    else:
+        evals, p, j = [], np.zeros(xs.shape), np.zeros(xs.shape)
+    peak = float(np.max(p))
+    if not peak > 0.0:
+        return FieldSample(p, j, np.full(p.shape, np.nan), np.ones(p.shape, dtype=bool))
+    single = evals[0].conv_velocity if len(evals) == 1 else None
+    return _guidance(p, j, node_floor * peak, single)
+
+
+def assert_same_field(fs, ref):
+    for name in ("p_tot", "j_tot", "v_tot", "nodal"):
+        assert np.array_equal(getattr(fs, name), getattr(ref, name), equal_nan=True), name
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize(
+    "slits, open_idx", [(SKEWED, [0, 1, 2]), (SKEWED, [1]), (SKEWED, [])],
+    ids=["skewed", "one-slit", "empty"],
+)
+def test_blocked_grid_field_is_whole_grid_bit_for_bit(slits, open_idx, n):
+    grid = GridSpec(-15.0, 15.0, n, 2.0)
+    mask = SlitMask(open_idx)
+    assert_same_field(field_grid(P, slits, mask, grid), whole_grid_field(P, slits, mask, grid))
+
+
+@pytest.mark.parametrize("slits", [LATE_NAN, LATE_INF], ids=["nan", "inf"])
+def test_overflow_in_a_late_block_sets_the_whole_grid_reference(slits):
+    """A NaN or inf P_tot met only in the last blocks still sets the nodal
+    reference, as one whole-grid maximum does: NaN makes every point
+    nodal, inf every finite point."""
+    grid = GridSpec(-15.0, 15.0, 3 * _BLOCK + 17, 2.0)
+    mask = SlitMask.all_open(len(slits))
+    with np.errstate(all="ignore"):
+        fs = field_grid(P, slits, mask, grid)
+        ref = whole_grid_field(P, slits, mask, grid)
+    assert np.all(np.isfinite(ref.p_tot[: 2 * _BLOCK]))
+    assert not np.all(np.isfinite(ref.p_tot))
+    assert_same_field(fs, ref)
+    assert np.all(fs.nodal) if slits is LATE_NAN else np.all(fs.nodal == np.isfinite(fs.p_tot))
 
 
 def test_peak_bound_dominates_grid():

@@ -24,6 +24,7 @@ import path_excitation
 from path_excitation.errors import BoundaryLeak, NegativeTime, NodalPoint
 from path_excitation.field import GridSpec, SlitMask, pairwise_field, open_evals
 from path_excitation.oracle import (
+    EquivalenceReport,
     _dst1,
     bohm_velocity,
     equivalence_report,
@@ -32,6 +33,8 @@ from path_excitation.oracle import (
     superpose,
 )
 from path_excitation.packet import PhysParams, SlitSpec, eval_packet, psi
+
+from test_field import _BLOCK, BLOCK_SIZES, LATE_INF, LATE_NAN, SKEWED, whole_grid_field
 
 P = PhysParams()
 SYMMETRIC = [SlitSpec(center=-3.0), SlitSpec(center=3.0)]
@@ -327,3 +330,51 @@ def test_equivalence_report_asymmetric_config():
     assert rep.max_abs_dev_p <= 1e-10 * rep.peak_p
     assert rep.max_abs_dev_j <= 1e-10 * rep.peak_j
     assert rep.max_rel_dev_v <= 1e-10
+
+
+def whole_grid_report(params, slits, mask, grid):
+    """equivalence_report's reductions over one whole-grid evaluation."""
+    sample = whole_grid_field(params, slits, mask, grid)
+    p_o, j_o = qm_current(params, slits, mask, grid.points(), grid.t)
+    v_o = np.where(sample.nodal, np.nan, j_o / np.where(sample.nodal, 1.0, p_o))
+    live = ~sample.nodal & ~(np.isnan(sample.v_tot) & np.isnan(v_o))
+    dv = np.abs(sample.v_tot - v_o)[live]
+    scale = np.max(np.maximum(np.abs(sample.v_tot), np.abs(v_o))[live], initial=0.0)
+    return EquivalenceReport(
+        max_abs_dev_p=float(np.max(np.abs(sample.p_tot - p_o))),
+        max_abs_dev_j=float(np.max(np.abs(sample.j_tot - j_o))),
+        max_rel_dev_v=float(np.max(dv) / scale) if scale != 0.0 else 0.0,
+        n_nodal=int(np.count_nonzero(sample.nodal)),
+        grid=grid,
+        peak_p=float(np.max(p_o)),
+        peak_j=float(np.max(np.abs(j_o))),
+    )
+
+
+def assert_same_report(rep, ref):
+    for name in ("max_abs_dev_p", "max_abs_dev_j", "max_rel_dev_v", "peak_p", "peak_j"):
+        a, b = getattr(rep, name), getattr(ref, name)
+        assert a == b or (np.isnan(a) and np.isnan(b)), name
+    assert rep.n_nodal == ref.n_nodal and rep.grid is ref.grid
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("open_idx", [[0, 1, 2], [1], []], ids=["skewed", "one-slit", "empty"])
+def test_blocked_equivalence_report_is_whole_grid_bit_for_bit(open_idx, n):
+    grid = GridSpec(-15.0, 15.0, n, 2.0)
+    mask = SlitMask(open_idx)
+    assert_same_report(
+        equivalence_report(P, SKEWED, mask, grid), whole_grid_report(P, SKEWED, mask, grid)
+    )
+
+
+@pytest.mark.parametrize("slits", [LATE_NAN, LATE_INF], ids=["nan", "inf"])
+def test_equivalence_report_with_overflow_in_a_late_block(slits):
+    grid = GridSpec(-15.0, 15.0, 3 * _BLOCK + 17, 2.0)
+    mask = SlitMask.all_open(len(slits))
+    with np.errstate(all="ignore"):
+        rep = equivalence_report(P, slits, mask, grid)
+        ref = whole_grid_report(P, slits, mask, grid)
+    assert_same_report(rep, ref)
+    if slits is LATE_NAN:
+        assert rep.n_nodal == grid.n_points

@@ -15,6 +15,8 @@ from path_excitation.field import GridSpec, SlitMask, intensity, open_evals
 from path_excitation.packet import PhysParams, SlitSpec, eval_packet
 from path_excitation.sorkin import interference_term, subset_intensity, sumrule_report
 
+from test_field import _BLOCK, BLOCK_SIZES, LATE_INF, LATE_NAN, SKEWED
+
 P = PhysParams()
 THREE = [SlitSpec(center=-6.0), SlitSpec(center=0.0), SlitSpec(center=6.0)]
 FOUR = [SlitSpec(center=-9.0), SlitSpec(center=-3.0), SlitSpec(center=3.0), SlitSpec(center=9.0)]
@@ -134,6 +136,61 @@ def test_report_is_subset_inclusion_exclusion_bit_for_bit(slits, grid):
         assert r.scale == scale
         assert r.max_abs == float(np.max(values))
         assert r.normalized_max == r.max_abs / scale
+
+
+def whole_grid_reports(slits, grid):
+    """(order, values, max_abs, scale) of every order from whole-grid subset runs."""
+    n = len(slits)
+    xs = grid.points()
+    runs = {
+        sub: subset_intensity(P, slits, sub, xs, grid.t)
+        for size in range(1, n + 1)
+        for sub in combinations(range(n), size)
+    }
+    scale = max(float(np.max(p)) for p in runs.values())
+    reports = []
+    for k in range(2, n + 1):
+        values = np.zeros(xs.shape)
+        for s in combinations(range(n), k):
+            term = np.zeros(xs.shape)
+            for size in range(1, k + 1):
+                sign = -1.0 if (k - size) % 2 else 1.0
+                for sub in combinations(s, size):
+                    term = term + sign * runs[sub]
+            values = np.maximum(values, np.abs(term))
+        reports.append((k, values, float(np.max(values)), scale))
+    return reports
+
+
+def same(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+# At t = 0.01 the first slit's weight times its peak envelope overflows:
+# its P is inf near its center and NaN (inf * 0) where the envelope
+# underflows, so the first subset's maximum is NaN.
+FIRST_NAN = [SlitSpec(center=0.0, sigma0=0.1, weight=1e308), SlitSpec(center=3.0)]
+
+
+@pytest.mark.parametrize(
+    ("slits", "n", "t"),
+    [(SKEWED, n, 2.0) for n in BLOCK_SIZES]
+    + [(LATE_NAN, 3 * _BLOCK + 17, 2.0), (LATE_INF, 3 * _BLOCK + 17, 2.0)]
+    + [(FIRST_NAN, 3 * _BLOCK + 17, 0.01)],
+    ids=[f"skewed-{n}" for n in BLOCK_SIZES] + ["late-nan", "late-inf", "first-nan"],
+)
+def test_blocked_report_is_whole_grid_bit_for_bit(slits, n, t):
+    """Block by block, values, maxima and scale equal whole-grid subset
+    runs, also when a subset's P is NaN or inf in some blocks only."""
+    grid = GridSpec(-15.0, 15.0, n, t)
+    with np.errstate(all="ignore"):
+        reports = sumrule_report(P, slits, grid, len(slits))
+        ref = whole_grid_reports(slits, grid)
+    for r, (order, values, max_abs, scale) in zip(reports, ref, strict=True):
+        assert r.order == order
+        assert np.array_equal(r.values, values, equal_nan=True)
+        assert same(r.max_abs, max_abs) and same(r.scale, scale)
+        assert same(r.normalized_max, max_abs / scale if scale > 0.0 else 0.0)
 
 
 def test_report_rejects_bad_order():

@@ -37,12 +37,26 @@ EIGHT = {
     "slits": [{"center": float(c)} for c in range(-14, 15, 4)],
     "grid": {"xmin": -40.0, "xmax": 40.0, "n": 4001, "t": 3.0},
 }
+# Three skewed slits (unequal sigma0 and weight, drift, phase0) on
+# 2 * 4096 + 17 points: the grid path streams blocks of 4096 points,
+# so this spans three blocks with a ragged tail.
+BLOCKS = {
+    "slits": [
+        {"center": -4.0, "sigma0": 0.7, "drift": 0.4, "weight": 0.6, "phase0": 0.3},
+        {"center": 0.5, "sigma0": 1.3, "drift": -0.25, "weight": 1.4, "phase0": -1.1},
+        {"center": 5.0, "sigma0": 0.9, "drift": 0.1, "weight": 0.8, "phase0": 2.0},
+    ],
+    "grid": {"xmin": -15.0, "xmax": 15.0, "n": 2 * 4096 + 17, "t": 2.0},
+}
 
 # (label, config, subcommands)
 CASES = [
     ("default", {}, ALL),
     ("grid", GRID, ("field", "verify", "sorkin")),
     ("eight", EIGHT, ("verify",)),
+    ("blocks", BLOCKS, ("field", "verify", "sorkin")),
+    # one open slit: its convective velocity is the field's, verbatim
+    ("blocks_single", {**BLOCKS, "mask": [1]}, ("field", "verify")),
     (
         "single",
         {"slits": [{"center": 0.5}], "trajectories": {"n": 500}},
@@ -65,6 +79,15 @@ CASES = [
     # over the step-count cap; run with "field", which never integrates,
     # so a checkout without the cap does not attempt 2e9 steps
     ("cap", {"trajectories": {"dt": 1e-9}}, ("field",)),
+    # over the trajectory-count cap of 10**6, also run with "field"
+    ("cap_n", {"trajectories": {"n": 10**6 + 1}}, ("field",)),
+    # over sorkin's work budget, 3^13 x 3764 > 6e9 terms; a checkout
+    # without the budget runs it (about 13 s and 250 MB)
+    (
+        "budget",
+        {"slits": [{"center": 4.0 * k} for k in range(13)], "grid": {"n": 3764}},
+        ("sorkin",),
+    ),
     # far slits whose amplitude underflows to 0 on the grid: they add
     # nothing (their NaN carriers once made every density NaN); pins
     # the nan spelling of nodal velocities in CSV
