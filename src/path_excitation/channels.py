@@ -106,19 +106,15 @@ class FieldSample:
     nodal: np.ndarray
 
 
-def build_channels(evals: list[PacketEval], point=None) -> ChannelSet:
+def build_channels(evals: list[PacketEval]) -> ChannelSet:
     """Expand per-slit evaluations into the ordered 3n-channel set.
 
     All evaluations must share one (x, t); a disagreement raises
-    MismatchedPoint.  An explicit point, when given, is checked too.
+    MismatchedPoint.
     """
     if not evals:
         raise ValueError("at least one packet evaluation is required")
     x0, t0 = evals[0].x, evals[0].t
-    if point is not None:
-        px, pt = point
-        if not (np.array_equal(np.asarray(px, dtype=float), x0) and float(pt) == t0):
-            raise MismatchedPoint("explicit point disagrees with evaluations")
     chans: list[Channel] = []
     for j, ev in enumerate(evals):
         if not (np.array_equal(ev.x, x0) and ev.t == t0):

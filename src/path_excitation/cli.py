@@ -23,15 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    BoundaryLeak,
-    DegenerateDensity,
-    MismatchedPoint,
-    NegativeTime,
-    NodalPoint,
-    ParseError,
-    ValidationError,
-)
+from .errors import ParseError, ValidationError
 from .field import GridSpec, SlitMask, _grid_blocks
 from .oracle import equivalence_report
 from .packet import PhysParams, SlitSpec, sigma_t
@@ -52,6 +44,13 @@ SORKIN_TOL = 1e-12
 SORKIN_FLOOR = 1e-6  # the order-2 term must exceed this, normalized
 MAX_STREAMLINES = 200
 MAX_STREAMLINE_ROWS = 201
+# Peak RSS grows by about 8 B per grid point for field and verify, and
+# by 40 B for sorkin on 5 slits, the most its work budget admits here,
+# so this many points stay under about 0.4 GB.
+_MAX_GRID_POINTS = 10**7
+# A histogram holds about 57 B per bin (peak RSS slope from 1e6 to 3e6
+# bins), and more bins than the trajectory cap resolve nothing.
+_MAX_BINS = 10**6
 
 _TOP_KEYS = {"hbar", "mass", "slits", "mask", "grid", "trajectories", "node_floor"}
 _SLIT_KEYS = {"center", "sigma0", "drift", "weight", "phase0"}
@@ -114,6 +113,11 @@ def _integer(raw, where: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise ParseError(f"{where}: expected an integer, got {raw!r}")
     return raw
+
+
+def _check_cap(value: int, cap: int, where: str) -> None:
+    if value > cap:
+        raise ValidationError(f"{where} = {value} exceeds the cap of {cap}")
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
@@ -184,6 +188,7 @@ def parse_config(text: str) -> RunConfig:
     x_min = _number(grid_raw.get("xmin", -15.0), "grid.xmin")
     x_max = _number(grid_raw.get("xmax", 15.0), "grid.xmax")
     n_points = _integer(grid_raw.get("n", 2001), "grid.n")
+    _check_cap(n_points, _MAX_GRID_POINTS, "grid.n")
     t = _number(grid_raw.get("t", 2.0), "grid.t")
     try:
         grid = GridSpec(x_min=x_min, x_max=x_max, n_points=n_points, t=t)
@@ -204,11 +209,11 @@ def parse_config(text: str) -> RunConfig:
     n = _integer(traj_raw.get("n", 10000), "trajectories.n")
     if n < 1:
         raise ValidationError("n >= 1 violated")
-    if n > _MAX_TRAJECTORIES:
-        raise ValidationError(f"trajectories.n = {n} exceeds the cap of {_MAX_TRAJECTORIES}")
+    _check_cap(n, _MAX_TRAJECTORIES, "trajectories.n")
     bins = _integer(traj_raw.get("bins", 100), "trajectories.bins")
     if bins < 1:
         raise ValidationError("bins >= 1 violated")
+    _check_cap(bins, _MAX_BINS, "trajectories.bins")
     seed = _integer(traj_raw.get("seed", 0), "trajectories.seed")
 
     node_floor = _number(raw.get("node_floor", 1e-12), "node_floor")
@@ -386,9 +391,7 @@ def _run_trajectories(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _run_sorkin(cfg: RunConfig, out_dir: str) -> int:
-    if len(cfg.slits) < 2:
-        raise ValidationError("sorkin requires at least two slits")
-    reports = sumrule_report(cfg.params, list(cfg.slits), cfg.grid, len(cfg.slits))
+    reports = sumrule_report(cfg.params, list(cfg.slits), cfg.grid)
     high_ok = all(r.normalized_max <= SORKIN_TOL for r in reports if r.order >= 3)
     violation = reports[0].normalized_max > SORKIN_FLOOR
     passed = high_ok and violation
@@ -415,12 +418,8 @@ def _run_verify(cfg: RunConfig, out_dir: str) -> int:
     report = equivalence_report(
         cfg.params, list(cfg.slits), cfg.mask, cfg.grid, cfg.node_floor
     )
-    ok_p = report.max_abs_dev_p <= VERIFY_TOL * report.peak_p or (
-        report.peak_p == 0.0 and report.max_abs_dev_p == 0.0
-    )
-    ok_j = report.max_abs_dev_j <= VERIFY_TOL * report.peak_j or (
-        report.peak_j == 0.0 and report.max_abs_dev_j == 0.0
-    )
+    ok_p = report.max_abs_dev_p <= VERIFY_TOL * report.peak_p
+    ok_j = report.max_abs_dev_j <= VERIFY_TOL * report.peak_j
     ok_v = report.max_rel_dev_v <= VERIFY_TOL
     passed = ok_p and ok_j and ok_v
     payload = {
@@ -518,16 +517,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         _emit_error(exc)
         return 2
-    except (
-        BoundaryLeak,
-        DegenerateDensity,
-        MismatchedPoint,
-        NegativeTime,
-        NodalPoint,
-    ) as exc:
-        _emit_error(exc)
-        return 4
-    except Exception as exc:  # truly unexpected; still machine readable
+    except Exception as exc:  # runtime failures; still machine readable
         _emit_error(exc)
         return 4
 

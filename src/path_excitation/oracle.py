@@ -53,6 +53,8 @@ __all__ = [
 # Steps per leak-check block: one (chunk x N) @ (N x 2) product against
 # a table of r_k^1..r_k^chunk; 32 rows at N = 4096 is 2 MiB.
 _LEAK_CHUNK = 32
+# Runtime edge threshold, relative to the initial peak.
+_LEAK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,6 @@ def fd_propagate(
     psi0: np.ndarray,
     t_end: float,
     n_steps: int,
-    leak_tol: float = 1e-6,
 ) -> np.ndarray:
     """Propagate psi0 on a uniform grid to t_end by compact Crank-Nicolson.
 
@@ -181,10 +182,10 @@ def fd_propagate(
     the initial peak (the box walls would otherwise matter from the
     start) and dt must not exceed dx^2 m / hbar.  After every step
     s = 1..n_steps the two edge amplitudes, each a mode sum against
-    r_k^s, are compared with leak_tol times the initial peak; the first
+    r_k^s, are compared with _LEAK_TOL times the initial peak; the first
     step above it raises BoundaryLeak naming s.  The tighter entry
     bound cannot be held mid-run since a spreading packet's tails
-    grow, so the runtime threshold is looser and configurable.
+    grow, so the runtime threshold is looser.
     """
     x = np.asarray(x, dtype=float)
     out = np.asarray(psi0, dtype=complex).copy()
@@ -220,7 +221,7 @@ def fd_propagate(
     powers = np.zeros((_LEAK_CHUNK, n), dtype=complex)
     np.multiply.outer(np.arange(1, _LEAK_CHUNK + 1), theta, out=powers.imag)
     np.exp(powers, out=powers)
-    edge_limit = leak_tol * peak0
+    edge_limit = _LEAK_TOL * peak0
     for start in range(0, n_steps, _LEAK_CHUNK):
         rows = min(_LEAK_CHUNK, n_steps - start)
         amp = np.abs(powers[:rows] @ edge).max(axis=1)

@@ -93,9 +93,8 @@ def sumrule_report(
     params: PhysParams,
     slits: list[SlitSpec],
     grid: GridSpec,
-    max_order: int,
 ) -> list[SumRuleReport]:
-    """Order-k reports for k = 2..max_order over all k-subsets.
+    """Order-k reports for k = 2..n over all k-subsets of the n slits.
 
     The k = 2 report carries the physical first-order violation: its
     normalized_max exceeding roughly 1e-6 confirms a live fringe term,
@@ -103,13 +102,13 @@ def sumrule_report(
     three and above should be zero to rounding.
 
     The grid is evaluated in blocks, so only one block's subset
-    intensities are held at a time.  A slit count whose 3^n x grid
-    points exceeds _MAX_TERMS raises ValidationError naming slits
-    before anything is evaluated.
+    intensities are held at a time.  Fewer than two slits, or a slit
+    count whose 3^n x grid points exceeds _MAX_TERMS, raise
+    ValidationError before anything is evaluated.
     """
     n = len(slits)
-    if not 2 <= max_order <= n:
-        raise ValueError("2 <= max_order <= number of slits violated")
+    if n < 2:
+        raise ValidationError("sorkin requires at least two slits")
     if 3**n * grid.n_points > _MAX_TERMS:
         raise ValidationError(
             f"slits: {n} slits on {grid.n_points} grid points need 3^{n} x {grid.n_points}"
@@ -117,9 +116,9 @@ def sumrule_report(
         )
     xs = grid.points()
     step = min(_BLOCK, _TABLE_VALUES >> n)  # >= 8: the budget caps n at 19
-    subsets = [sub for size in range(1, max_order + 1) for sub in combinations(range(n), size)]
+    subsets = [sub for size in range(1, n + 1) for sub in combinations(range(n), size)]
     peaks = np.full(len(subsets), -np.inf)  # per subset, max P_T so far
-    values = {k: np.zeros(xs.shape) for k in range(2, max_order + 1)}
+    values = {k: np.zeros(xs.shape) for k in range(2, n + 1)}
     for start in range(0, xs.size, step):
         x = xs[start:start + step]
         # Each slit is evaluated once per block, and each slit's square and

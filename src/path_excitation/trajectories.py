@@ -1,20 +1,22 @@
 """Streamline integration and Born-rule equivariance harness.
 
 Trajectories follow the emergent guidance field, dx/dt = v_tot(x, t).
-The integrator is vectorized over whole bundles of trajectories that
-share one step sequence; single-trajectory calls wrap a bundle of one.
+One loop steps whole bundles of trajectories that share one step
+sequence; single-trajectory calls wrap a bundle of one.
 
-With dt=None (the default) a bundle steps with the Dormand-Prince 5(4)
-pair and first-same-as-last reuse of the final stage (Hairer, Norsett &
+With dt=None (the default) the loop proposes Dormand-Prince 5(4) steps
+with first-same-as-last reuse of the final stage (Hairer, Norsett &
 Wanner, Solving ODEs I, II.4-5).  One step size serves the whole bundle:
 a step is accepted when the largest |x5 - x4| over live trajectories is
 at most _STEP_TOL, and the standard controller picks the next size.  A
 stage landing below the nodal floor rejects the step and halves it, down
 to the floor step (t1 - t0)/2000; at that size every step is accepted.
-An explicit dt steps with classic fixed-step fourth-order Runge-Kutta
-instead, and the step count is capped at _MAX_STEPS.  On either path a
-trajectory whose accepted step met a nodal stage aborts, frozen at its
-last accepted position, rather than stepping across a node.
+An explicit dt proposes classic fourth-order Runge-Kutta steps on a
+fixed schedule instead, the case with no error estimate and no
+rejection, and the step count is capped at _MAX_STEPS.  In both modes a
+trajectory whose accepted step met a nodal stage, or that starts on a
+node, aborts, frozen at its last accepted position, rather than
+stepping across a node.
 
 Ensembles sample initial positions from the normalized t0 intensity by
 inverse-CDF lookup on a tabulated grid, integrate the position-sorted
@@ -113,12 +115,15 @@ class EnsembleResult:
 
 
 def _time_steps(t0: float, t1: float, dt: float) -> np.ndarray:
-    """Step targets t0 < ... < t1 at spacing dt, landing exactly on t1."""
+    """Step targets t0 < ... < t1 at spacing dt, landing exactly on t1.
+
+    A window shorter than one step still gets the one step t0 -> t1.
+    """
     span = t1 - t0
     n_full = int(np.floor(span / dt + 1e-12))
     rem = span - n_full * dt
     times = t0 + dt * np.arange(n_full + 1)
-    if rem > 1e-9 * dt:
+    if rem > 1e-9 * dt or n_full == 0:
         times = np.append(times, t1)
     times[-1] = t1
     return times
@@ -172,114 +177,83 @@ class _BundleResult:
     n_rejected: int
 
 
-def _crossings(x: np.ndarray, crossing_tol: float | None) -> int:
-    if crossing_tol is None or x.size < 2:
+def _crossings(x: np.ndarray) -> int:
+    if x.size < 2:
         return 0
-    return int(np.count_nonzero(np.diff(x) < -crossing_tol))
+    return int(np.count_nonzero(np.diff(x) < -CROSSING_TOL))
 
 
-def _rk4_bundle(
-    params,
-    slits,
-    mask,
-    x0,
-    t0,
-    t1,
-    dt,
-    node_floor,
-    record: bool = False,
-    crossing_tol: float | None = None,
-) -> _BundleResult:
-    times = _time_steps(t0, t1, dt)
-    x = np.asarray(x0, dtype=float).copy()
-    alive = np.ones(x.shape, dtype=bool)
-    abort_step = np.full(x.shape, -1, dtype=int)
-    n_viol = 0
-    paths = np.empty((times.size, x.size)) if record else None
-    if record:
-        paths[0] = x
+def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, record=False) -> _BundleResult:
+    """Step a bundle from t0 to t1: RK4 for an explicit dt, Dormand-Prince for None.
 
-    for k in range(times.size - 1):
-        t = times[k]
-        h = times[k + 1] - t
-        v1, n1 = _velocity(params, slits, mask, x, t, node_floor)
-        v2, n2 = _velocity(params, slits, mask, x + 0.5 * h * v1, t + 0.5 * h, node_floor)
-        v3, n3 = _velocity(params, slits, mask, x + 0.5 * h * v2, t + 0.5 * h, node_floor)
-        v4, n4 = _velocity(params, slits, mask, x + h * v3, t + h, node_floor)
-        hit_node = n1 | n2 | n3 | n4
-        newly = alive & hit_node
-        abort_step[newly] = k  # x[k] stays the last accepted position
-        alive = alive & ~hit_node
-        step = (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        x = np.where(alive, x + step, x)
-        n_viol += _crossings(x, crossing_tol)
-        if record:
-            paths[k + 1] = x
+    The modes differ only in how they propose a step; the setup, the
+    accepted-step rule and the recording are shared.
+    """
 
-    return _BundleResult(
-        times=times,
-        x_final=x,
-        aborted=~alive,
-        abort_step=abort_step,
-        n_violations=n_viol,
-        paths=paths,
-        n_steps=times.size - 1,
-        n_rejected=0,
-    )
+    def velocity(x, t):
+        return _velocity(params, slits, mask, x, t, node_floor)
 
-
-def _dp_bundle(
-    params,
-    slits,
-    mask,
-    x0,
-    t0,
-    t1,
-    node_floor,
-    record: bool = False,
-    crossing_tol: float | None = None,
-) -> _BundleResult:
-    h_floor = (t1 - t0) / _FLOOR_STEPS
-    x = x0.copy()
-    k1, nodal = _velocity(params, slits, mask, x, t0, node_floor)
+    x = np.array(x0, dtype=float)
+    targets = None if dt is None else _time_steps(t0, t1, dt)
+    times = [t0 if targets is None else targets[0]]  # the schedule spells -0.0 as 0.0
+    k1, nodal = velocity(x, times[0])
     # A start on a node cannot be helped by a smaller step.
     alive = ~nodal
     abort_step = np.where(nodal, 0, -1)
-    times = [t0]
-    paths = [x] if record else None
+    if not record:
+        paths = None
+    elif targets is None:
+        paths = [x]
+    else:  # filled in place: a list plus np.stack would double the peak
+        paths = np.empty((targets.size, x.size))
+        paths[0] = x
     n_viol = n_rejected = 0
-    t, h = t0, h_floor
-    while t < t1:
-        h = max(h, h_floor)
-        t_new = t + h
-        if t_new >= t1:
-            h, t_new = t1 - t, t1
-        ks = [k1]
-        hit = np.zeros(x.shape, dtype=bool)
-        for c, row in zip(_DP_C, _DP_A):
-            xs = x + h * sum(a * k for a, k in zip(row, ks) if a)
-            k, n = _velocity(params, slits, mask, xs, t + c * h if c < 1.0 else t_new, node_floor)
-            ks.append(k)
-            hit |= n
-        hit &= alive
-        live = alive & ~hit
-        dx = h * sum(e * k for e, k in zip(_DP_E, ks) if e)
-        err = float(np.max(np.abs(dx[live]), initial=0.0))
-        grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (_STEP_TOL / err) ** 0.2))
-        if h > h_floor and (hit.any() or err > _STEP_TOL):
-            n_rejected += 1
-            h = 0.5 * h if hit.any() else h * grow
-            continue
+    h_floor = (t1 - t0) / _FLOOR_STEPS
+    t, h = times[0], h_floor
+    while (t < t1) if targets is None else (len(times) < targets.size):
+        if targets is not None:
+            if k1 is None:
+                k1, nodal = velocity(x, t)
+            t_new = targets[len(times)]
+            h = t_new - t
+            k2, n2 = velocity(x + 0.5 * h * k1, t + 0.5 * h)
+            k3, n3 = velocity(x + 0.5 * h * k2, t + 0.5 * h)
+            k4, n4 = velocity(x + h * k3, t + h)
+            x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            hit = (nodal | n2 | n3 | n4) & alive
+            k1 = None
+        else:
+            h = max(h, h_floor)
+            t_new = t + h
+            if t_new >= t1:
+                h, t_new = t1 - t, t1
+            ks = [k1]
+            hit = np.zeros(x.shape, dtype=bool)
+            for c, row in zip(_DP_C, _DP_A):
+                x_new = x + h * sum(a * k for a, k in zip(row, ks) if a)  # stage 7 is x5
+                k, n = velocity(x_new, t + c * h if c < 1.0 else t_new)
+                ks.append(k)
+                hit |= n
+            hit &= alive
+            dx = h * sum(e * k for e, k in zip(_DP_E, ks) if e)
+            err = float(np.max(np.abs(dx[alive & ~hit]), initial=0.0))
+            grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (_STEP_TOL / err) ** 0.2))
+            if h > h_floor and (hit.any() or err > _STEP_TOL):
+                n_rejected += 1
+                h = 0.5 * h if hit.any() else h * grow
+                continue
+            k1 = k  # first same as last: its nodal flags are in hit
+            h *= grow
         abort_step[hit] = len(times) - 1  # the last accepted sample
-        alive = live
-        x = np.where(alive, xs, x)  # xs is the stage-7 point x5
-        k1 = ks[-1]
+        alive &= ~hit
+        x = np.where(alive, x_new, x)
         t = t_new
         times.append(t)
-        n_viol += _crossings(x, crossing_tol)
-        if record:
+        n_viol += _crossings(x)
+        if isinstance(paths, list):
             paths.append(x)
-        h *= grow
+        elif record:
+            paths[len(times) - 1] = x
 
     return _BundleResult(
         times=np.array(times),
@@ -287,18 +261,10 @@ def _dp_bundle(
         aborted=~alive,
         abort_step=abort_step,
         n_violations=n_viol,
-        paths=np.stack(paths) if record else None,
+        paths=np.stack(paths) if isinstance(paths, list) else paths,
         n_steps=len(times) - 1,
         n_rejected=n_rejected,
     )
-
-
-def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, **kw) -> _BundleResult:
-    """Fixed-step RK4 for an explicit dt, error-controlled Dormand-Prince for None."""
-    x0 = np.asarray(x0, dtype=float)
-    if dt is None:
-        return _dp_bundle(params, slits, mask, x0, t0, t1, node_floor, **kw)
-    return _rk4_bundle(params, slits, mask, x0, t0, t1, dt, node_floor, **kw)
 
 
 def _tabulated_cdf(params, slits, mask, t0):
@@ -385,12 +351,11 @@ def integrate(
     dt = _resolve_dt(t0, t1, dt)
     res = _bundle(params, slits, mask, [x0], t0, t1, dt, node_floor, record=True)
     path = res.paths[:, 0]
-    if res.aborted[0]:
-        last = int(res.abort_step[0])
-        samples = [(float(res.times[k]), float(path[k])) for k in range(last + 1)]
-        return Trajectory(samples=samples, terminated=Termination.NODAL_ABORT)
-    samples = [(float(res.times[k]), float(path[k])) for k in range(res.times.size)]
-    return Trajectory(samples=samples, terminated=Termination.COMPLETED)
+    aborted = bool(res.aborted[0])
+    last = int(res.abort_step[0]) if aborted else res.times.size - 1
+    samples = [(float(res.times[k]), float(path[k])) for k in range(last + 1)]
+    end = Termination.NODAL_ABORT if aborted else Termination.COMPLETED
+    return Trajectory(samples=samples, terminated=end)
 
 
 def streamlines(
@@ -436,9 +401,7 @@ def ensemble(
     """
     dt = _resolve_dt(t0, t1, dt)
     x0 = np.sort(sample_initial(params, slits, mask, t0, n, seed))
-    res = _bundle(
-        params, slits, mask, x0, t0, t1, dt, node_floor, crossing_tol=CROSSING_TOL
-    )
+    res = _bundle(params, slits, mask, x0, t0, t1, dt, node_floor)
     survivors = res.x_final[~res.aborted]
     if survivors.size:
         counts, edges = np.histogram(survivors, bins=bins)

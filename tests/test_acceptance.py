@@ -114,8 +114,8 @@ def test_criterion_3_sorkin_hierarchy():
     start = time.perf_counter()
     three = [SlitSpec(center=c) for c in (-6.0, 0.0, 6.0)]
     four = [SlitSpec(center=c) for c in (-9.0, -3.0, 3.0, 9.0)]
-    rep3 = {r.order: r for r in sumrule_report(P, three, GridSpec(-18.0, 18.0, 1201, 2.0), 3)}
-    rep4 = {r.order: r for r in sumrule_report(P, four, GridSpec(-21.0, 21.0, 1401, 2.0), 4)}
+    rep3 = {r.order: r for r in sumrule_report(P, three, GridSpec(-18.0, 18.0, 1201, 2.0))}
+    rep4 = {r.order: r for r in sumrule_report(P, four, GridSpec(-21.0, 21.0, 1401, 2.0))}
     elapsed = time.perf_counter() - start
     high = max(rep3[3].normalized_max, rep4[3].normalized_max, rep4[4].normalized_max)
     fringe = min(rep3[2].normalized_max, rep4[2].normalized_max)

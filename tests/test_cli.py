@@ -247,6 +247,7 @@ class TestSorkinCommand:
         assert status == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValidationError"
+        assert err["message"] == "sorkin requires at least two slits"
 
     def test_work_budget_rejects_before_evaluating(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
@@ -276,7 +277,7 @@ class TestSorkinCommand:
         monkeypatch.setattr(sorkin, "open_evals", reached)
         slits = [SlitSpec(center=4.0 * k) for k in range(12)]
         with pytest.raises(Reached):
-            sorkin.sumrule_report(PhysParams(), slits, field.GridSpec(-40.0, 40.0, 10001, 3.0), 12)
+            sorkin.sumrule_report(PhysParams(), slits, field.GridSpec(-40.0, 40.0, 10001, 3.0))
 
 
 SMALL_TRAJ = {
@@ -380,6 +381,38 @@ class TestExitCodes:
         assert err["error"] == "ValidationError"
         assert err["message"] == f"trajectories.n = {cap + 1} exceeds the cap of {cap}"
         assert not (tmp_path / "histogram.csv").exists()
+
+    def test_bin_cap_exits_before_allocating(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a capped trajectories.bins reached the histogram")
+
+        monkeypatch.setattr(cli, "ensemble", never)
+        cap = cli._MAX_BINS
+        assert parse_config(json.dumps({"trajectories": {"bins": cap}})).bins == cap
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"trajectories": {"bins": cap + 1}}))
+        status = main(["trajectories", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        assert status == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert err["message"] == f"trajectories.bins = {cap + 1} exceeds the cap of {cap}"
+        assert not (tmp_path / "histogram.csv").exists()
+
+    def test_grid_point_cap_exits_before_allocating(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a capped grid.n reached the grid")
+
+        monkeypatch.setattr(field.GridSpec, "points", never)
+        cap = cli._MAX_GRID_POINTS
+        assert parse_config(json.dumps({"grid": {"n": cap}})).grid.n_points == cap
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"grid": {"n": cap + 1}}))
+        status = main(["field", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        assert status == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert err["message"] == f"grid.n = {cap + 1} exceeds the cap of {cap}"
+        assert not (tmp_path / "field.csv").exists()
 
     def test_tiny_dt_is_validation_exit(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

@@ -31,7 +31,7 @@ mask = SlitMask.all_open(3)
 runs = {
     "field": lambda g: [None for _ in _grid_blocks(P, slits, mask, g, 1e-12)],
     "verify": lambda g: equivalence_report(P, slits, mask, g),
-    "sorkin": lambda g: sumrule_report(P, slits, g, 3),
+    "sorkin": lambda g: sumrule_report(P, slits, g),
 }
 tracemalloc.start()
 peaks = {name: [] for name in runs}

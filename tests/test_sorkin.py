@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from path_excitation.channels import build_channels, project
+from path_excitation.errors import ValidationError
 from path_excitation.field import GridSpec, SlitMask, intensity, open_evals
 from path_excitation.packet import PhysParams, SlitSpec, eval_packet
 from path_excitation.sorkin import interference_term, subset_intensity, sumrule_report
@@ -74,7 +75,7 @@ def test_order_three_term_cancels():
 
 
 def test_report_three_slit_hierarchy():
-    reports = sumrule_report(P, THREE, GRID3, 3)
+    reports = sumrule_report(P, THREE, GRID3)
     by_order = {r.order: r for r in reports}
     assert sorted(by_order) == [2, 3]
     assert by_order[2].normalized_max > 0.1
@@ -86,7 +87,7 @@ def test_report_three_slit_hierarchy():
 
 
 def test_report_four_slit_hierarchy():
-    reports = sumrule_report(P, FOUR, GRID4, 4)
+    reports = sumrule_report(P, FOUR, GRID4)
     by_order = {r.order: r for r in reports}
     assert sorted(by_order) == [2, 3, 4]
     assert by_order[2].normalized_max > 0.1
@@ -121,7 +122,7 @@ def test_report_is_subset_inclusion_exclusion_bit_for_bit(slits, grid):
         for sub in combinations(range(n), size)
     }
     scale = max(float(np.max(p)) for p in runs.values())
-    reports = sumrule_report(P, slits, grid, n)
+    reports = sumrule_report(P, slits, grid)
     assert [r.order for r in reports] == list(range(2, n + 1))
     for r in reports:
         values = np.zeros(xs.shape)
@@ -184,7 +185,7 @@ def test_blocked_report_is_whole_grid_bit_for_bit(slits, n, t):
     runs, also when a subset's P is NaN or inf in some blocks only."""
     grid = GridSpec(-15.0, 15.0, n, t)
     with np.errstate(all="ignore"):
-        reports = sumrule_report(P, slits, grid, len(slits))
+        reports = sumrule_report(P, slits, grid)
         ref = whole_grid_reports(slits, grid)
     for r, (order, values, max_abs, scale) in zip(reports, ref, strict=True):
         assert r.order == order
@@ -194,10 +195,10 @@ def test_blocked_report_is_whole_grid_bit_for_bit(slits, n, t):
 
 
 def test_report_rejects_bad_order():
-    with pytest.raises(ValueError):
-        sumrule_report(P, THREE, GRID3, 4)
-    with pytest.raises(ValueError):
-        sumrule_report(P, THREE, GRID3, 1)
+    """The orders run from 2 to the slit count, so one slit has none."""
+    assert [r.order for r in sumrule_report(P, THREE[:2], GRID3)] == [2]
+    with pytest.raises(ValidationError, match="^sorkin requires at least two slits$"):
+        sumrule_report(P, THREE[:1], GRID3)
 
 
 def test_context_split_differs_from_closed_slit_sum():

@@ -102,6 +102,19 @@ class TestIntegrate:
         assert len(tr.samples) == 1
         assert tr.samples[0] == (0.5, 0.0)
 
+    def test_window_shorter_than_one_step_still_takes_it(self):
+        # dt far above t1 - t0: the schedule is still t0 -> t1, so the
+        # start is kept and a start on a node aborts
+        tr = integrate(P, SINGLE, ONE, 0.3, 0.0, 1e-12, dt=1.0)
+        assert tr.terminated is Termination.COMPLETED
+        assert tr.samples[0] == (0.0, 0.3)
+        assert [t for t, _ in tr.samples] == [0.0, 1e-12]
+        t1 = 0.5 + 1e-12
+        times, paths, abort_steps = streamlines(P, NODED, BOTH, [0.0, 0.5], 0.5, t1, dt=1.0)
+        assert list(times) == [0.5, t1]
+        assert list(abort_steps) == [0, -1]
+        assert np.all(paths[:, 0] == 0.0)
+
     def test_rejects_degenerate_window(self):
         with pytest.raises(ValueError):
             integrate(P, SINGLE, ONE, 0.0, 1.0, 1.0)

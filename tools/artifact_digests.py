@@ -48,6 +48,13 @@ BLOCKS = {
     ],
     "grid": {"xmin": -15.0, "xmax": 15.0, "n": 2 * 4096 + 17, "t": 2.0},
 }
+# Colliding packets under a coarse node floor: 6 of the 200 streamlines
+# abort, 4 of them after the first step, on either step mode.
+COLLIDING_NODAL = {
+    "slits": [{"center": -3.0, "drift": 1.0}, {"center": 3.0, "drift": -1.0}],
+    "node_floor": 0.01,
+    "trajectories": {"t1": 4.0, "n": 500},
+}
 
 # (label, config, subcommands)
 CASES = [
@@ -76,11 +83,22 @@ CASES = [
     # the explicit-dt (fixed RK4) path at the floor step of the default window
     ("fixed_dt", {"trajectories": {"dt": 0.0009995, "n": 500}}, ("trajectories",)),
     ("bad_window_dt", {"trajectories": {"t0": 2, "t1": 1, "dt": "x"}}, ("field",)),
+    # mid-run nodal aborts on the controlled and the fixed-step path
+    ("colliding_nodal", COLLIDING_NODAL, ("trajectories",)),
+    (
+        "colliding_nodal_dt",
+        {**COLLIDING_NODAL, "trajectories": {**COLLIDING_NODAL["trajectories"], "dt": 0.02}},
+        ("trajectories",),
+    ),
     # over the step-count cap; run with "field", which never integrates,
     # so a checkout without the cap does not attempt 2e9 steps
     ("cap", {"trajectories": {"dt": 1e-9}}, ("field",)),
     # over the trajectory-count cap of 10**6, also run with "field"
     ("cap_n", {"trajectories": {"n": 10**6 + 1}}, ("field",)),
+    # over the grid-point cap of 10**7, run with "packet", which never
+    # builds the grid, and over the bin cap of 10**6, run with "field"
+    ("cap_grid", {"grid": {"n": 10**7 + 1}}, ("packet",)),
+    ("cap_bins", {"trajectories": {"bins": 10**6 + 1}}, ("field",)),
     # over sorkin's work budget, 3^13 x 3764 > 6e9 terms; a checkout
     # without the budget runs it (about 13 s and 250 MB)
     (
