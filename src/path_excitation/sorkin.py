@@ -118,7 +118,9 @@ def sumrule_report(
     step = min(_BLOCK, _TABLE_VALUES >> n)  # >= 8: the budget caps n at 19
     subsets = [sub for size in range(1, n + 1) for sub in combinations(range(n), size)]
     peaks = np.full(len(subsets), -np.inf)  # per subset, max P_T so far
-    values = {k: np.zeros(xs.shape) for k in range(2, n + 1)}
+    # One block for all orders: freed whole, so it cannot leave freed
+    # grid-sized chunks stranded in the heap as n - 1 arrays can.
+    values = dict(zip(range(2, n + 1), np.zeros((n - 1, xs.size))))
     for start in range(0, xs.size, step):
         x = xs[start:start + step]
         # Each slit is evaluated once per block, and each slit's square and
