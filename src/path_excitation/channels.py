@@ -106,32 +106,34 @@ class FieldSample:
     nodal: np.ndarray
 
 
-def build_channels(evals: list[PacketEval]) -> ChannelSet:
-    """Expand per-slit evaluations into the ordered 3n-channel set.
-
-    All evaluations must share one (x, t); a disagreement raises
-    MismatchedPoint.
-    """
+def _common_point(evals: list[PacketEval]) -> tuple[np.ndarray, float]:
+    """(x, t) shared by evals; ValueError if empty, MismatchedPoint if not shared."""
     if not evals:
         raise ValueError("at least one packet evaluation is required")
     x0, t0 = evals[0].x, evals[0].t
-    chans: list[Channel] = []
-    for j, ev in enumerate(evals):
+    for j, ev in enumerate(evals[1:], start=1):
         if not (np.array_equal(ev.x, x0) and ev.t == t0):
             raise MismatchedPoint(f"evaluation {j} is not at the common (x, t)")
-        c = ev.phase_carrier[..., 0]
-        s = ev.phase_carrier[..., 1]
-        right = np.stack([-s, c], axis=-1)
+    return x0, t0
+
+
+def build_channels(evals: list[PacketEval]) -> ChannelSet:
+    """Expand per-slit evaluations into the ordered 3n-channel set.
+
+    Orientations are stacked from each carrier's cos and sin.  All
+    evaluations must pass _common_point.
+    """
+    x0, t0 = _common_point(evals)
+    chans: list[Channel] = []
+    for j, ev in enumerate(evals):
+        conv = np.stack([ev.cos, ev.sin], axis=-1)
+        right = np.stack([-ev.sin, ev.cos], axis=-1)
         u = np.asarray(ev.diff_velocity, dtype=float)
-        chans.append(
-            Channel(ChannelKind.CONVECTIVE, j, ev.phase_carrier, ev.conv_velocity, ev.amplitude)
-        )
-        chans.append(
-            Channel(ChannelKind.DIFFUSIVE_RIGHT, j, right, np.maximum(u, 0.0), ev.amplitude)
-        )
-        chans.append(
-            Channel(ChannelKind.DIFFUSIVE_LEFT, j, -right, np.maximum(-u, 0.0), ev.amplitude)
-        )
+        chans += [
+            Channel(ChannelKind.CONVECTIVE, j, conv, ev.conv_velocity, ev.amplitude),
+            Channel(ChannelKind.DIFFUSIVE_RIGHT, j, right, np.maximum(u, 0.0), ev.amplitude),
+            Channel(ChannelKind.DIFFUSIVE_LEFT, j, -right, np.maximum(-u, 0.0), ev.amplitude),
+        ]
     return ChannelSet(channels=tuple(chans), x=x0, t=t0)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .field import GridSpec, SlitMask, _grid_blocks
 from .oracle import equivalence_report
-from .packet import PhysParams, SlitSpec, sigma_t
+from .packet import PhysParams, SlitSpec, _square, sigma_t
 from .sorkin import sumrule_report
 from .trajectories import (
     _MAX_TRAJECTORIES,
@@ -206,6 +206,9 @@ def parse_config(text: str) -> RunConfig:
         number=lambda raw: _number(raw, "trajectories.dt"),
         error=ValidationError,
     )
+    t_max = max(grid.t, t1)  # no packet is evaluated later than this
+    if not _square(params.diffusion * t_max) < math.inf:  # as eval_packet squares it
+        raise ValidationError(f"hbar, mass: (hbar / (2 mass) * t)**2 overflows at t = {t_max!r}")
     n = _integer(traj_raw.get("n", 10000), "trajectories.n")
     if n < 1:
         raise ValidationError("n >= 1 violated")

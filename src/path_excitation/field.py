@@ -28,8 +28,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import DEFAULT_NODE_FLOOR, FieldSample, _guidance
-from .errors import MismatchedPoint, NegativeTime
+from .channels import DEFAULT_NODE_FLOOR, FieldSample, _common_point, _guidance
+from .errors import NegativeTime
 from .packet import PacketEval, PhysParams, SlitSpec, eval_packet, sigma_t
 
 __all__ = [
@@ -106,23 +106,17 @@ def _pair_products(evals: list[PacketEval]):
     Returns (amp, pairs): amp[i] is R_i, and pairs yields, for i < k in
     combinations order (the closed form's summation order), (i, k,
     cross, cphi, sphi) with cross = R_i R_k and cphi, sphi the cosine
-    and sine of phi_ik.  The evaluations must be non-empty and share
-    one (x, t); a disagreement raises MismatchedPoint.
+    and sine of phi_ik from the carriers' cos and sin.  The evaluations
+    must pass channels._common_point.
     """
-    if not evals:
-        raise ValueError("at least one packet evaluation is required")
-    x0, t0 = evals[0].x, evals[0].t
-    for k, ev in enumerate(evals[1:], start=1):
-        if not (np.array_equal(ev.x, x0) and ev.t == t0):
-            raise MismatchedPoint(f"evaluation {k} is not at the common (x, t)")
+    _common_point(evals)
     amp = [np.asarray(ev.amplitude, dtype=float) for ev in evals]
-    cos = [ev.phase_carrier[..., 0] for ev in evals]
-    sin = [ev.phase_carrier[..., 1] for ev in evals]
 
     def pairs():
         for i, k in combinations(range(len(evals)), 2):
-            cphi = cos[i] * cos[k] + sin[i] * sin[k]
-            sphi = sin[i] * cos[k] - cos[i] * sin[k]
+            a, b = evals[i], evals[k]
+            cphi = a.cos * b.cos + a.sin * b.sin
+            sphi = a.sin * b.cos - a.cos * b.sin
             yield i, k, amp[i] * amp[k], cphi, sphi
 
     return amp, pairs()
@@ -131,10 +125,9 @@ def _pair_products(evals: list[PacketEval]):
 def _pairwise(evals: list[PacketEval]):
     """Pairwise-closed-form (P_tot, J_tot); fixed summation order.
 
-    The evaluations must be non-empty and share one (x, t); a
-    disagreement raises MismatchedPoint.  The terms of P_tot are spelled
-    as sorkin.sumrule_report spells them, which keeps its subset
-    intensities bit-identical to this sum.
+    The evaluations are checked as in _pair_products.  The terms of
+    P_tot are spelled as sorkin.sumrule_report spells them, which keeps
+    its subset intensities bit-identical to this sum.
     """
     amp, pairs = _pair_products(evals)
     v = [ev.conv_velocity for ev in evals]

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DEFAULT_NODE_FLOOR
-from .errors import BoundaryLeak, NegativeTime, NodalPoint
+from .errors import BoundaryLeak, NodalPoint
 from .field import GridSpec, SlitMask, _grid_blocks, peak_bound
-from .packet import PhysParams, SlitSpec, psi
+from .packet import PhysParams, SlitSpec, _check_time, psi
 
 __all__ = [
     "Superposition",
@@ -91,41 +91,32 @@ class EquivalenceReport:
 def superpose(
     params: PhysParams, slits: list[SlitSpec], mask: SlitMask, x, t: float
 ) -> Superposition:
-    """Superposed amplitude over the open slits, summed in slit order."""
+    """Superposed amplitude over the open slits, summed in slit order from 0."""
     mask.check_against(len(slits))
     psis = tuple(psi(params, slits[i], x, t) for i in mask.indices())
-    if not psis:
-        return Superposition(psis=(), total=np.zeros(np.asarray(x).shape, dtype=complex))
-    total = np.zeros(np.broadcast_shapes(*(p.shape for p in psis)), dtype=complex)
-    for p in psis:
-        total = total + p
-    return Superposition(psis=psis, total=total)
+    return Superposition(psis=psis, total=sum(psis, np.zeros(np.shape(x), dtype=complex)))
 
 
 def qm_current(params: PhysParams, slits: list[SlitSpec], mask: SlitMask, x, t: float):
     """Density and current (P, J) of the superposed profile.
 
-    J = (hbar/m) Im(Psi* dPsi/dx) with each packet's closed-form
-    dpsi/dx = psi * (-xi/(2 s_t) + i m drift/hbar), no finite differencing.
+    J = (hbar/m) Im(Psi* dPsi/dx) with Psi and its packets from superpose
+    and each packet's closed-form dpsi/dx = psi * (-xi/(2 s_t) + i m drift/hbar).
     """
-    mask.check_against(len(slits))
-    if float(t) < 0.0:
-        raise NegativeTime(f"t = {t} lies before the release time 0")
+    sup = superpose(params, slits, mask, x, t)
+    _check_time(t)  # superpose evaluates no packet, so checks no t, for an empty mask
     x = np.asarray(x, dtype=float)
-    total = np.zeros(x.shape, dtype=complex)
     dtotal = np.zeros(x.shape, dtype=complex)
-    for i in mask.indices():
+    for i, ps in zip(mask.indices(), sup.psis):
         slit = slits[i]
-        ps = psi(params, slit, x, t)
         st = slit.sigma0**2 + 1j * params.diffusion * t
         xi = x - slit.center - slit.drift * t
         factor = -xi / (2.0 * st) + 1j * params.mass * slit.drift / params.hbar
-        total = total + ps
         # psi times factor in this order: numpy may swap the operands of an
         # inline product, and a complex product is not bitwise commutative.
         dtotal = dtotal + np.multiply(ps, factor)
-    p = total.real**2 + total.imag**2
-    j = (params.hbar / params.mass) * (np.conj(total) * dtotal).imag
+    p = sup.total.real**2 + sup.total.imag**2
+    j = (params.hbar / params.mass) * (np.conj(sup.total) * dtotal).imag
     return p, j
 
 

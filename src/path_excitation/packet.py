@@ -22,6 +22,7 @@ relative phases come from pairwise products of carriers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,14 @@ __all__ = [
     "eval_packet",
     "psi",
 ]
+
+
+def _square(value: float) -> float:
+    """value**2 as a Python float power, as the formulas below form it; inf on overflow."""
+    try:
+        return value**2
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,10 @@ class SlitSpec:
     def __post_init__(self) -> None:
         if not self.sigma0 > 0.0:
             raise ValueError("sigma0 > 0 violated")
+        if not 0.0 < _square(self.sigma0) < math.inf:
+            raise ValueError(f"sigma0**2 lies outside the double range (sigma0 = {self.sigma0!r})")
+        if not _square(self.drift) < math.inf:
+            raise ValueError(f"drift**2 overflows a double (drift = {self.drift!r})")
         if not self.weight >= 0.0:
             raise ValueError("weight >= 0 violated")
 
@@ -79,15 +92,16 @@ class PacketEval:
     """One packet evaluated at a common space-time point.
 
     amplitude      weighted envelope, weight * R_unit(x, t), >= 0
-    phase_carrier  unit vector (cos theta, sin theta), last axis length 2;
-                   (1, 0) where the amplitude is 0
+    cos, sin       the unit phase carrier (cos theta, sin theta), each
+                   shaped like x; (1, 0) where the amplitude is 0
     conv_velocity  convective velocity v = grad(S)/m
     diff_velocity  signed diffusive velocity u
     x, t           the evaluation point (x may be an array)
     """
 
     amplitude: np.ndarray
-    phase_carrier: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
     conv_velocity: np.ndarray
     diff_velocity: np.ndarray
     x: np.ndarray
@@ -127,12 +141,12 @@ def eval_packet(params: PhysParams, slit: SlitSpec, x, t: float) -> PacketEval:
     )
     # finite where the amplitude underflows to 0 (theta may overflow there)
     theta = np.where(amp > 0.0, theta, 0.0)
-    carrier = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     v = slit.drift + xi * d * d * t / (s0sq * ssq)
     u = (params.hbar / params.mass) * xi / (2.0 * ssq)
     return PacketEval(
         amplitude=amp,
-        phase_carrier=carrier,
+        cos=np.cos(theta),
+        sin=np.sin(theta),
         conv_velocity=v,
         diff_velocity=u,
         x=x,

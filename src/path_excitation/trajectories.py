@@ -187,7 +187,8 @@ def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, record=False) -> _B
     """Step a bundle from t0 to t1: RK4 for an explicit dt, Dormand-Prince for None.
 
     The modes differ only in how they propose a step; the setup, the
-    accepted-step rule and the recording are shared.
+    accepted-step rule and the recording are shared.  With record, paths
+    holds one (len(times), x.size) row per accepted sample.
     """
 
     def velocity(x, t):
@@ -200,12 +201,10 @@ def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, record=False) -> _B
     # A start on a node cannot be helped by a smaller step.
     alive = ~nodal
     abort_step = np.where(nodal, 0, -1)
-    if not record:
-        paths = None
-    elif targets is None:
-        paths = [x]
-    else:  # filled in place: a list plus np.stack would double the peak
-        paths = np.empty((targets.size, x.size))
+    paths = None
+    if record:  # filled in place: a list plus np.stack would double the peak
+        # Every accepted controlled step but the last is at least the floor step.
+        paths = np.empty((_FLOOR_STEPS + 2 if targets is None else targets.size, x.size))
         paths[0] = x
     n_viol = n_rejected = 0
     h_floor = (t1 - t0) / _FLOOR_STEPS
@@ -250,9 +249,9 @@ def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, record=False) -> _B
         t = t_new
         times.append(t)
         n_viol += _crossings(x)
-        if isinstance(paths, list):
-            paths.append(x)
-        elif record:
+        if record:
+            if len(times) > len(paths):  # t + h rounds short of h near ulp(t)
+                paths = np.concatenate([paths, np.empty_like(paths)])
             paths[len(times) - 1] = x
 
     return _BundleResult(
@@ -261,7 +260,7 @@ def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, record=False) -> _B
         aborted=~alive,
         abort_step=abort_step,
         n_violations=n_viol,
-        paths=np.stack(paths) if isinstance(paths, list) else paths,
+        paths=paths[:len(times)] if record else None,
         n_steps=len(times) - 1,
         n_rejected=n_rejected,
     )
@@ -348,13 +347,10 @@ def integrate(
     RK4.  On a nodal stage the trajectory terminates with NodalAbort
     and the samples stop at the last accepted step.
     """
-    dt = _resolve_dt(t0, t1, dt)
-    res = _bundle(params, slits, mask, [x0], t0, t1, dt, node_floor, record=True)
-    path = res.paths[:, 0]
-    aborted = bool(res.aborted[0])
-    last = int(res.abort_step[0]) if aborted else res.times.size - 1
-    samples = [(float(res.times[k]), float(path[k])) for k in range(last + 1)]
-    end = Termination.NODAL_ABORT if aborted else Termination.COMPLETED
+    times, paths, abort_steps = streamlines(params, slits, mask, [x0], t0, t1, dt, node_floor)
+    last = int(abort_steps[0]) if abort_steps[0] >= 0 else times.size - 1
+    samples = [(float(times[k]), float(paths[k, 0])) for k in range(last + 1)]
+    end = Termination.NODAL_ABORT if abort_steps[0] >= 0 else Termination.COMPLETED
     return Trajectory(samples=samples, terminated=end)
 
 
@@ -370,10 +366,12 @@ def streamlines(
 ):
     """Integrate a bundle of start positions with full path recording.
 
-    Returns (times, paths, abort_steps): paths[k, i] is position i at
-    times[k], one row per accepted step; abort_steps[i] is the index of
-    the last accepted sample of an aborted line, or -1 for a completed
-    one.  Positions after the abort index repeat the frozen value.
+    Returns (times, paths, abort_steps): paths has shape (times.size,
+    x0s.size) in both step modes, a scalar start counting as one, and
+    paths[k, i] is position i at times[k], one row per accepted step;
+    abort_steps[i] is the index of the last accepted sample of an
+    aborted line, or -1 for a completed one.  Positions after the abort
+    index repeat the frozen value.
     """
     dt = _resolve_dt(t0, t1, dt)
     res = _bundle(params, slits, mask, x0s, t0, t1, dt, node_floor, record=True)

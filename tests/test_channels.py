@@ -31,10 +31,10 @@ P = PhysParams()
 def make_eval(r, theta, v=0.0, u=0.0, x=0.0, t=0.5):
     """Synthetic packet evaluation with prescribed envelope and phase."""
     theta = np.asarray(theta, dtype=float)
-    carrier = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     return PacketEval(
         amplitude=np.asarray(r, dtype=float),
-        phase_carrier=carrier,
+        cos=np.cos(theta),
+        sin=np.sin(theta),
         conv_velocity=np.asarray(v, dtype=float),
         diff_velocity=np.asarray(u, dtype=float),
         x=np.asarray(x, dtype=float),

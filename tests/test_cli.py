@@ -455,6 +455,49 @@ class TestExitCodes:
         assert err["message"].startswith(message)
         assert not (tmp_path / "field.csv").exists()
 
+    @pytest.mark.parametrize(
+        ("sub", "bad", "good", "message"),
+        [
+            (
+                "field", {"slits": [{"center": 0, "sigma0": 1e200}]},
+                {"slits": [{"center": 0, "sigma0": 1e154}]},
+                "slits[0]: sigma0**2 lies outside the double range (sigma0 = 1e+200)",
+            ),
+            (
+                "packet", {"slits": [{"center": 0, "sigma0": 1e-200}]},
+                {"slits": [{"center": 0, "sigma0": 1e-160}]},
+                "slits[0]: sigma0**2 lies outside the double range (sigma0 = 1e-200)",
+            ),
+            (
+                "verify", {"slits": [{"center": 0, "drift": 1e200}]},
+                {"slits": [{"center": 0, "drift": -1e154}]},
+                "slits[0]: drift**2 overflows a double (drift = 1e+200)",
+            ),
+            (
+                "verify", {"hbar": 1e300}, {"hbar": 1e150},
+                "hbar, mass: (hbar / (2 mass) * t)**2 overflows at t = 2.0",
+            ),
+            (
+                "verify", {"mass": 1e-300, "trajectories": {"t1": 3.0}},
+                {"mass": 1e-150, "trajectories": {"t1": 3.0}},
+                "hbar, mass: (hbar / (2 mass) * t)**2 overflows at t = 3.0",
+            ),
+        ],
+        ids=["sigma0-overflow", "sigma0-underflow", "drift", "hbar", "mass"],
+    )
+    def test_square_outside_the_double_range_is_validation_exit(
+        self, tmp_path, capsys, sub, bad, good, message
+    ):
+        # the packet formulas square these as Python floats, which raise on
+        # overflow (and sigma0**2 divides), so they must be caught at parse time
+        parse_config(json.dumps(good))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(bad))
+        assert main([sub, "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValidationError", "message": message}
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])

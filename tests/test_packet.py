@@ -109,8 +109,8 @@ def test_complex_profile_matches_envelope_and_carrier():
     w = psi(P, slit, xs, 1.7)
     assert np.max(np.abs(np.abs(w) - ev.amplitude)) < 1e-12
     unit = w / np.abs(w)
-    assert np.max(np.abs(unit.real - ev.phase_carrier[..., 0])) < 1e-12
-    assert np.max(np.abs(unit.imag - ev.phase_carrier[..., 1])) < 1e-12
+    assert np.max(np.abs(unit.real - ev.cos)) < 1e-12
+    assert np.max(np.abs(unit.imag - ev.sin)) < 1e-12
 
 
 def test_profile_peak_is_real_positive_at_release():
@@ -217,4 +217,5 @@ def test_far_slit_carrier_is_finite():
     with np.errstate(over="ignore"):
         ev = eval_packet(P, SlitSpec(1e200), [0.0, 1.0], 2.0)
     assert np.array_equal(ev.amplitude, np.zeros(2))
-    assert np.array_equal(ev.phase_carrier, [[1.0, 0.0], [1.0, 0.0]])
+    assert np.array_equal(ev.cos, [1.0, 1.0])
+    assert np.array_equal(ev.sin, [0.0, 0.0])

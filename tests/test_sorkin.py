@@ -51,9 +51,7 @@ def test_order_two_term_equals_fringe_closed_form():
     term = interference_term(P, THREE, (0, 1), XS, 2.0)
     e0 = eval_packet(P, THREE[0], XS, 2.0)
     e1 = eval_packet(P, THREE[1], XS, 2.0)
-    c = e0.phase_carrier
-    s = e1.phase_carrier
-    cos_rel = c[..., 0] * s[..., 0] + c[..., 1] * s[..., 1]
+    cos_rel = e0.cos * e1.cos + e0.sin * e1.sin
     closed = 2.0 * e0.amplitude * e1.amplitude * cos_rel
     scale = float(np.max(subset_intensity(P, THREE, (0, 1), XS, 2.0)))
     assert np.max(np.abs(term - closed)) <= 1e-12 * scale

@@ -155,6 +155,12 @@ def test_streamlines_record_frozen_positions_after_abort():
     assert abort_steps[0] == -1 and abort_steps[2] == -1
 
 
+@pytest.mark.parametrize("dt", [None, 0.5])
+def test_streamlines_scalar_start_gives_one_column(dt):
+    times, paths, _ = streamlines(P, SINGLE, ONE, 1.0, 0.0, 1.0, dt)
+    assert paths.shape == (times.size, 1)
+
+
 class TestEnsemble:
     def test_counts_balance_and_determinism(self):
         kw = dict(dt=0.02, bins=40, seed=11)
@@ -267,3 +273,30 @@ class TestControlledStepping:
         assert not res.aborted[0]
         assert res.n_rejected > plain.n_rejected
         assert abs(res.x_final[0] - np.sqrt(2.0)) <= 1e-9
+
+    @pytest.mark.parametrize(("t0", "t1"), [(0.0, 2.0), (1.0, 1.0 + 1e-12)], ids=["fill", "grow"])
+    def test_floor_step_recording_matches_unrecorded_run(self, monkeypatch, t0, t1):
+        # With no error tolerance every step is a floor step: 2001 of them
+        # fill the 2002 rows a controlled recording starts with.  Where the
+        # floor step is about 2 ulps of t, t + h rounds short and the steps
+        # outnumber the rows.  A smooth stand-in field keeps them cheap.
+        def wavy(params, slits, mask, x, t, node_floor):
+            return np.sin(x + 3.0 * t), np.zeros(x.shape, dtype=bool)
+
+        monkeypatch.setattr(trajectories, "_velocity", wavy)
+        monkeypatch.setattr(trajectories, "_STEP_TOL", 0.0)
+        x0 = np.array([-1.0, 0.5, 2.0])
+        rec = trajectories._bundle(P, SINGLE, ONE, x0, t0, t1, None, 1e-12, record=True)
+        # an unrecorded run's positions after every accepted step
+        seen = [x0]
+        crossings = trajectories._crossings
+        monkeypatch.setattr(
+            trajectories, "_crossings", lambda x: seen.append(x.copy()) or crossings(x)
+        )
+        plain = trajectories._bundle(P, SINGLE, ONE, x0, t0, t1, None, 1e-12)
+        rows = plain.times.size
+        assert rows == 2002 if t0 == 0.0 else rows > 2002
+        assert rec.paths.shape == (rows, 3)
+        assert np.array_equal(rec.paths, np.stack(seen))
+        assert np.array_equal(rec.x_final, plain.x_final)
+        assert np.array_equal(rec.times, plain.times)

@@ -124,6 +124,12 @@ CASES = [
     ("bad_dt", {"trajectories": {"dt": -1}}, ("field",)),
     ("bad_hbar", {"hbar": True}, ("field",)),
     ("bad_sigma", {"slits": [{"center": 0, "sigma0": -1}]}, ("field",)),
+    # squares the packet formulas form as Python floats, which raise on
+    # overflow (sigma0**2 also divides): exit 2 naming the key
+    ("overflow_sigma", {"slits": [{"center": 0, "sigma0": 1e200}]}, ("field",)),
+    ("underflow_sigma", {"slits": [{"center": 0, "sigma0": 1e-200}]}, ("packet",)),
+    ("overflow_drift", {"slits": [{"center": 0, "drift": 1e200}]}, ("verify",)),
+    ("overflow_hbar", {"hbar": 1e300}, ("verify",)),
 ]
 
 
