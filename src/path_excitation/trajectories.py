@@ -270,7 +270,8 @@ def _tabulated_cdf(params, slits, mask, t0):
     """Normalized CDF of the t0 intensity on the fixed sampler grid.
 
     The grid spans 10 maximal widths beyond the outermost packet
-    centers; trapezoids integrate the density.
+    centers; trapezoids integrate the density.  A total intensity that
+    is not finite, or numerically zero, raises DegenerateDensity.
     """
     mask.check_against(len(slits))
     idx = mask.indices()
@@ -285,6 +286,8 @@ def _tabulated_cdf(params, slits, mask, t0):
     dx = xs[1] - xs[0]
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * dx)])
     total = cdf[-1]
+    if not np.isfinite(total):
+        raise DegenerateDensity(f"total integrated intensity {total:g} is not finite")
     if total < 1e-300:
         raise DegenerateDensity(f"total integrated intensity {total:g} is numerically zero")
     return xs, cdf / total

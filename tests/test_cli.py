@@ -366,6 +366,26 @@ class TestExitCodes:
         assert status == 4
         assert json.loads(capsys.readouterr().err)["error"] == "DegenerateDensity"
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"hbar": 1e150},
+            {"slits": [{"center": 0, "sigma0": 1e154}]},
+            {"slits": [{"center": 0, "sigma0": 1e-160}]},
+        ],
+        ids=["huge_hbar", "huge_sigma0", "tiny_sigma0"],
+    )
+    def test_non_finite_sampler_intensity_is_degenerate(self, tmp_path, capsys, config):
+        # finite, valid configs whose t0 intensity is NaN on the sampler grid
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({**config, "trajectories": {"n": 50}}))
+        with np.errstate(all="ignore"):
+            status = main(["trajectories", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        assert status == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DegenerateDensity"
+        assert "not finite" in err["message"]
+
     def test_trajectory_count_cap_exits_before_allocating(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("a capped trajectories.n reached the ensemble")

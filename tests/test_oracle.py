@@ -5,7 +5,8 @@ The propagator is itself an oracle for the analytic packets, so its own
 tests lean on properties that hold regardless of the packet model:
 unitarity, linearity in the profile, and boundary-leak detection.  The
 modal evaluation is checked against a sparse-LU loop that takes the
-Crank-Nicolson steps one at a time.
+Crank-Nicolson steps one at a time, and the leak check over the kept
+modes against one that sums every mode in every block.
 """
 
 import os
@@ -24,8 +25,11 @@ import path_excitation
 from path_excitation.errors import BoundaryLeak, NegativeTime, NodalPoint
 from path_excitation.field import GridSpec, SlitMask, pairwise_field, open_evals
 from path_excitation.oracle import (
+    _LEAK_CHUNK,
+    _LEAK_TOL,
     EquivalenceReport,
     _dst1,
+    _leak_modes,
     bohm_velocity,
     equivalence_report,
     fd_propagate,
@@ -184,6 +188,140 @@ def test_propagate_mid_run_leak_names_the_same_step(drift, step):
         fd_propagate(P, xs, psi0, 3.0, n_steps)
     with pytest.raises(BoundaryLeak, match=message):
         _stepped_reference(P, xs, psi0, 3.0, n_steps)
+
+
+def _leak_setup(params, x, psi0, t_end, n_steps):
+    """fd_propagate's DST-I coefficients, per-step mode angles theta_k,
+    (N, 2) edge weights and runtime edge threshold."""
+    n = x.size
+    dx = (x[-1] - x[0]) / (n - 1)
+    dt = float(t_end) / n_steps
+    angle = np.arange(1, n + 1) * (np.pi / (n + 1))
+    lam = -4.0 * np.sin(0.5 * angle) ** 2
+    beta = params.hbar * dt / (4.0 * params.mass * dx * dx)
+    theta = 2.0 * np.arctan2(beta * lam, 1.0 + lam / 12.0)
+    coef = _dst1(np.asarray(psi0, dtype=complex))
+    edge = np.empty((n, 2), dtype=complex)
+    edge[:, 0] = coef * np.sin(angle) / (n + 1)
+    edge[:, 1] = edge[:, 0]
+    edge[1::2, 1] *= -1.0
+    return coef, theta, edge, _LEAK_TOL * float(np.max(np.abs(psi0)))
+
+
+def _full_leak_reference(params, x, psi0, t_end, n_steps):
+    """fd_propagate with every block's edge sums taken over all N modes.
+    Preconditions are left to fd_propagate."""
+    coef, theta, edge, edge_limit = _leak_setup(params, x, psi0, t_end, n_steps)
+    powers = np.zeros((_LEAK_CHUNK, x.size), dtype=complex)
+    np.multiply.outer(np.arange(1, _LEAK_CHUNK + 1), theta, out=powers.imag)
+    np.exp(powers, out=powers)
+    for start in range(0, n_steps, _LEAK_CHUNK):
+        rows = min(_LEAK_CHUNK, n_steps - start)
+        amp = np.abs(powers[:rows] @ edge).max(axis=1)
+        over = np.flatnonzero(amp > edge_limit)
+        if over.size:
+            raise BoundaryLeak(
+                f"edge amplitude exceeded at step {start + over[0] + 1}/{n_steps}"
+            )
+        edge *= powers[-1][:, None]
+    return _dst1(coef * np.exp(1j * n_steps * theta)) / (2 * (x.size + 1))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).tobytes()
+    except BoundaryLeak as exc:
+        return str(exc)
+
+
+def _random_leak_case(seed):
+    """A packet well inside the walls (entry check passes) on a seeded
+    grid size and width, with seeded sigma0, drift, centre and run time."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([129, 257, 512, 1024]))
+    sigma0 = rng.uniform(0.4, 2.0)
+    slit = SlitSpec(center=rng.uniform(-3.0, 3.0), sigma0=sigma0, drift=rng.uniform(-3.0, 3.0))
+    half = abs(slit.center) + 10.5 * sigma0 + rng.uniform(0.0, 4.0)
+    xs = np.linspace(-half, half, n)
+    dx = xs[1] - xs[0]
+    t_end = rng.uniform(0.2, 3.0)
+    n_steps = int(np.ceil(t_end / dx**2 * rng.uniform(1.0, 2.0)))
+    return xs, psi(P, slit, xs, 0.0).astype(complex), t_end, n_steps
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_kept_mode_leak_check_matches_full_check(seed):
+    xs, psi0, t_end, n_steps = _random_leak_case(seed)
+    assert _outcome(fd_propagate, P, xs, psi0, t_end, n_steps) == _outcome(
+        _full_leak_reference, P, xs, psi0, t_end, n_steps
+    )
+
+
+def test_kept_mode_leak_check_falls_back_without_a_leak():
+    # The drift-free run of the mid-run leak test, stopped one step
+    # before it leaks at step 1264: the kept modes come within the
+    # dropped tail of the threshold, so the full check decides those
+    # blocks, and no step is over it.
+    xs = np.linspace(-10.5, 10.5, 501)
+    n_steps = 1263
+    t_end = 3.0 * n_steps / 1701
+    psi0 = psi(P, SlitSpec(center=0.0), xs, 0.0).astype(complex)
+    _, theta, edge, limit = _leak_setup(P, xs, psi0, t_end, n_steps)
+    keep, tail = _leak_modes(np.abs(edge[:, 0]), limit)
+    steps = np.arange(1, n_steps + 1)
+    kept_amp = np.abs(np.exp(1j * np.multiply.outer(steps, theta[keep])) @ edge[keep]).max()
+    assert kept_amp > limit - tail
+    out = fd_propagate(P, xs, psi0, t_end, n_steps)
+    assert out.tobytes() == _full_leak_reference(P, xs, psi0, t_end, n_steps).tobytes()
+
+
+def test_kept_mode_leak_check_on_a_rough_profile():
+    # Random phases inside a Gaussian envelope spread the edge weight
+    # over most modes, so few are dropped.
+    xs = np.linspace(-12.0, 12.0, 512)
+    dx = xs[1] - xs[0]
+    phase = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, xs.size)
+    psi0 = psi(P, SlitSpec(center=0.0), xs, 0.0) * np.exp(1j * phase)
+    n_steps = int(np.ceil(0.5 / dx**2))
+    _, _, edge, limit = _leak_setup(P, xs, psi0, 0.5, n_steps)
+    keep, _ = _leak_modes(np.abs(edge[:, 0]), limit)
+    assert keep.size > xs.size // 2
+    assert _outcome(fd_propagate, P, xs, psi0, 0.5, n_steps) == _outcome(
+        _full_leak_reference, P, xs, psi0, 0.5, n_steps
+    )
+
+
+def test_criterion_6_leak_check_keeps_few_modes():
+    # The smallest modes are dropped, within half the threshold, and
+    # the kept modes' sums stay clear of the threshold less that tail at
+    # every step, so no block falls back to the full check.
+    xs = np.linspace(-12.0, 12.0, 4096)
+    dx = xs[1] - xs[0]
+    n_steps = int(np.ceil(2.0 / (dx * dx * P.mass / P.hbar)))
+    psi0 = psi(P, SlitSpec(center=0.0), xs, 0.0).astype(complex)
+    _, theta, edge, limit = _leak_setup(P, xs, psi0, 2.0, n_steps)
+    weight = np.abs(edge[:, 0])
+    keep, tail = _leak_modes(weight, limit)
+    assert keep.size <= 64
+    assert tail <= limit / 2
+    dropped = np.setdiff1d(np.arange(xs.size), keep)
+    assert np.all(weight[dropped] <= np.min(weight[keep]))
+    steps = np.arange(1, n_steps + 1)
+    kept_amp = np.abs(np.exp(1j * np.multiply.outer(steps, theta[keep])) @ edge[keep]).max()
+    assert kept_amp < (limit - tail) / 2
+
+
+@pytest.mark.parametrize("bad", ["nan_psi0", "inf_psi0", "nan_x"])
+def test_propagate_rejects_non_finite_inputs(bad):
+    xs = _grid(512)
+    psi0 = psi(P, SlitSpec(center=0.0), xs, 0.0).astype(complex)
+    if bad == "nan_x":
+        xs[200] = np.nan
+    else:
+        psi0[200] = np.nan if bad == "nan_psi0" else np.inf
+    dx = xs[-1] - xs[-2]
+    with pytest.raises(ValueError, match="finite"):
+        fd_propagate(P, xs, psi0, 0.5, int(np.ceil(0.5 / dx**2)))
 
 
 def test_propagate_zero_profile_stays_zero():

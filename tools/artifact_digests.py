@@ -130,6 +130,19 @@ CASES = [
     ("underflow_sigma", {"slits": [{"center": 0, "sigma0": 1e-200}]}, ("packet",)),
     ("overflow_drift", {"slits": [{"center": 0, "drift": 1e200}]}, ("verify",)),
     ("overflow_hbar", {"hbar": 1e300}, ("verify",)),
+    # finite, valid configs whose sampler intensity is NaN: exit 4 with
+    # DegenerateDensity naming the non-finite total
+    ("nan_sampler_hbar", {"hbar": 1e150, "trajectories": {"n": 50}}, ("trajectories",)),
+    (
+        "nan_sampler_wide",
+        {"slits": [{"center": 0, "sigma0": 1e154}], "trajectories": {"n": 50}},
+        ("trajectories",),
+    ),
+    (
+        "nan_sampler_narrow",
+        {"slits": [{"center": 0, "sigma0": 1e-160}], "trajectories": {"n": 50}},
+        ("trajectories",),
+    ),
 ]
 
 
