@@ -19,14 +19,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from .channels import DEFAULT_NODE_FLOOR
 from .errors import ParseError, ValidationError
 from .field import GridSpec, SlitMask, _grid_blocks
 from .oracle import equivalence_report
-from .packet import PhysParams, SlitSpec, _square, sigma_t
+from .packet import PhysParams, SlitSpec, _check_domain, sigma_t
 from .sorkin import sumrule_report
 from .trajectories import (
     _MAX_TRAJECTORIES,
@@ -53,9 +54,9 @@ _MAX_GRID_POINTS = 10**7
 _MAX_BINS = 10**6
 
 _TOP_KEYS = {"hbar", "mass", "slits", "mask", "grid", "trajectories", "node_floor"}
-_SLIT_KEYS = {"center", "sigma0", "drift", "weight", "phase0"}
+_SLIT_KEYS = tuple(f.name for f in fields(SlitSpec))  # in field order
 _GRID_KEYS = {"xmin", "xmax", "n", "t"}
-_TRAJ_KEYS = {"t0", "t1", "dt", "n", "bins", "seed"}
+_TRAJ_KEYS = ("t0", "t1", "dt", "n", "bins", "seed")  # RunConfig's names, in echo order
 
 
 @dataclass(frozen=True)
@@ -120,9 +121,13 @@ def _check_cap(value: int, cap: int, where: str) -> None:
         raise ValidationError(f"{where} = {value} exceeds the cap of {cap}")
 
 
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    for key in sorted(set(obj) - allowed):
+def _object(value, allowed, where: str) -> dict:
+    """value as a JSON object holding no key outside allowed."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected an object")
+    for key in sorted(set(value).difference(allowed)):
         raise ParseError(f"{where}: unknown key '{key}'")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -140,12 +145,11 @@ def parse_config(text: str) -> RunConfig:
         ) from None
     if not isinstance(raw, dict):
         raise ParseError("top-level value must be an object")
-    _check_keys(raw, _TOP_KEYS, "config")
+    _object(raw, _TOP_KEYS, "config")
 
-    hbar = _number(raw.get("hbar", 1.0), "hbar")
-    mass = _number(raw.get("mass", 1.0), "mass")
+    kwargs = {key: _number(raw[key], key) for key in ("hbar", "mass") if key in raw}
     try:
-        params = PhysParams(hbar=hbar, mass=mass)
+        params = PhysParams(**kwargs)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
 
@@ -155,18 +159,12 @@ def parse_config(text: str) -> RunConfig:
     slits = []
     for i, item in enumerate(slits_raw):
         where = f"slits[{i}]"
-        if not isinstance(item, dict):
-            raise ParseError(f"{where}: expected an object")
-        _check_keys(item, _SLIT_KEYS, where)
+        _object(item, _SLIT_KEYS, where)
         if "center" not in item:
             raise ParseError(f"{where}: missing key 'center'")
-        center = _number(item["center"], f"{where}.center")
-        sigma0 = _number(item.get("sigma0", 1.0), f"{where}.sigma0")
-        drift = _number(item.get("drift", 0.0), f"{where}.drift")
-        weight = _number(item.get("weight", 1.0), f"{where}.weight")
-        phase0 = _number(item.get("phase0", 0.0), f"{where}.phase0")
+        kwargs = {key: _number(item[key], f"{where}.{key}") for key in _SLIT_KEYS if key in item}
         try:
-            slits.append(SlitSpec(center, sigma0, drift, weight, phase0))
+            slits.append(SlitSpec(**kwargs))
         except ValueError as exc:
             raise ValidationError(f"{where}: {exc}") from None
 
@@ -181,10 +179,7 @@ def parse_config(text: str) -> RunConfig:
             raise ValidationError(f"mask index {v} out of range for {len(slits)} slits")
     mask = SlitMask(indices)
 
-    grid_raw = raw.get("grid", {})
-    if not isinstance(grid_raw, dict):
-        raise ParseError("grid: expected an object")
-    _check_keys(grid_raw, _GRID_KEYS, "grid")
+    grid_raw = _object(raw.get("grid", {}), _GRID_KEYS, "grid")
     x_min = _number(grid_raw.get("xmin", -15.0), "grid.xmin")
     x_max = _number(grid_raw.get("xmax", 15.0), "grid.xmax")
     n_points = _integer(grid_raw.get("n", 2001), "grid.n")
@@ -195,10 +190,7 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ValidationError(f"grid: {exc}") from None
 
-    traj_raw = raw.get("trajectories", {})
-    if not isinstance(traj_raw, dict):
-        raise ParseError("trajectories: expected an object")
-    _check_keys(traj_raw, _TRAJ_KEYS, "trajectories")
+    traj_raw = _object(raw.get("trajectories", {}), _TRAJ_KEYS, "trajectories")
     t0 = _number(traj_raw.get("t0", 1e-3), "trajectories.t0")
     t1 = _number(traj_raw.get("t1", grid.t), "trajectories.t1")
     dt = _resolve_dt(
@@ -206,9 +198,12 @@ def parse_config(text: str) -> RunConfig:
         number=lambda raw: _number(raw, "trajectories.dt"),
         error=ValidationError,
     )
-    t_max = max(grid.t, t1)  # no packet is evaluated later than this
-    if not _square(params.diffusion * t_max) < math.inf:  # as eval_packet squares it
-        raise ValidationError(f"hbar, mass: (hbar / (2 mass) * t)**2 overflows at t = {t_max!r}")
+    for i, slit in enumerate(slits):  # every slit whatever the mask, as sorkin takes them all
+        try:
+            _check_domain(params, slit, (t0, t1))
+            _check_domain(params, slit, (grid.t,), (grid.x_min, grid.x_max))
+        except ValueError as exc:
+            raise ValidationError(f"slits[{i}]: {exc}") from None
     n = _integer(traj_raw.get("n", 10000), "trajectories.n")
     if n < 1:
         raise ValidationError("n >= 1 violated")
@@ -219,7 +214,7 @@ def parse_config(text: str) -> RunConfig:
     _check_cap(bins, _MAX_BINS, "trajectories.bins")
     seed = _integer(traj_raw.get("seed", 0), "trajectories.seed")
 
-    node_floor = _number(raw.get("node_floor", 1e-12), "node_floor")
+    node_floor = _number(raw.get("node_floor", DEFAULT_NODE_FLOOR), "node_floor")
     if node_floor < 0.0:
         raise ValidationError("node_floor >= 0 violated")
 
@@ -238,39 +233,21 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
+def _grid_json(grid: GridSpec) -> dict:
+    return {"xmin": grid.x_min, "xmax": grid.x_max, "n": grid.n_points, "t": grid.t}
+
+
 def echo_config(cfg: RunConfig) -> str:
     """Canonical JSON for cfg with every default applied explicitly.
 
     parse_config(echo_config(cfg)) reconstructs an equal RunConfig.
     """
     obj = {
-        "hbar": cfg.params.hbar,
-        "mass": cfg.params.mass,
-        "slits": [
-            {
-                "center": s.center,
-                "sigma0": s.sigma0,
-                "drift": s.drift,
-                "weight": s.weight,
-                "phase0": s.phase0,
-            }
-            for s in cfg.slits
-        ],
+        **asdict(cfg.params),
+        "slits": [asdict(s) for s in cfg.slits],
         "mask": list(cfg.mask.indices()),
-        "grid": {
-            "xmin": cfg.grid.x_min,
-            "xmax": cfg.grid.x_max,
-            "n": cfg.grid.n_points,
-            "t": cfg.grid.t,
-        },
-        "trajectories": {
-            "t0": cfg.t0,
-            "t1": cfg.t1,
-            "dt": cfg.dt,
-            "n": cfg.n,
-            "bins": cfg.bins,
-            "seed": cfg.seed,
-        },
+        "grid": _grid_json(cfg.grid),
+        "trajectories": {key: getattr(cfg, key) for key in _TRAJ_KEYS},
         "node_floor": cfg.node_floor,
     }
     return json.dumps(obj, indent=2) + "\n"
@@ -434,12 +411,7 @@ def _run_verify(cfg: RunConfig, out_dir: str) -> int:
         "n_nodal": report.n_nodal,
         "tolerance": VERIFY_TOL,
         "passed": passed,
-        "grid": {
-            "xmin": report.grid.x_min,
-            "xmax": report.grid.x_max,
-            "n": report.grid.n_points,
-            "t": report.grid.t,
-        },
+        "grid": _grid_json(report.grid),
     }
     _write(os.path.join(out_dir, "verify.json"), json.dumps(payload, indent=2) + "\n")
     return 0 if passed else 3

@@ -405,7 +405,14 @@ def ensemble(
     res = _bundle(params, slits, mask, x0, t0, t1, dt, node_floor)
     survivors = res.x_final[~res.aborted]
     if survivors.size:
-        counts, edges = np.histogram(survivors, bins=bins)
+        try:
+            counts, edges = np.histogram(survivors, bins=bins)
+        except ValueError:  # too many bins where numpy's range has no room for them
+            if not np.isfinite(survivors).all():
+                raise
+            pad = bins * np.spacing(np.abs(survivors).max())  # bins >= 2 ulps wide
+            lo, hi = survivors.min() - pad, survivors.max() + pad
+            counts, edges = np.histogram(survivors, bins=bins, range=(lo, hi))
     else:
         counts = np.zeros(bins, dtype=int)
         edges = np.linspace(0.0, 1.0, bins + 1)

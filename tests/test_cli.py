@@ -367,24 +367,31 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "DegenerateDensity"
 
     @pytest.mark.parametrize(
-        "config",
+        ("config", "message"),
         [
-            {"hbar": 1e150},
-            {"slits": [{"center": 0, "sigma0": 1e154}]},
-            {"slits": [{"center": 0, "sigma0": 1e-160}]},
+            ({"hbar": 1e150}, "slits[0]: eval_packet cos is not finite at t = 0.001"),
+            (
+                {"slits": [{"center": 0, "sigma0": 1e154}]},
+                "slits[0]: eval_packet amplitude is not finite at t = 0.001",
+            ),
+            (
+                {"slits": [{"center": 0, "sigma0": 1e-160}]},
+                "slits[0]: sigma_t is not finite at t = 0.001",
+            ),
         ],
         ids=["huge_hbar", "huge_sigma0", "tiny_sigma0"],
     )
-    def test_non_finite_sampler_intensity_is_degenerate(self, tmp_path, capsys, config):
-        # finite, valid configs whose t0 intensity is NaN on the sampler grid
+    def test_non_finite_sampler_intensity_is_degenerate(self, tmp_path, capsys, config, message):
+        # finite numbers whose t0 intensity would be NaN on the sampler grid:
+        # the domain check rejects them at parse time, before the sampler
+        # (test_trajectories covers the sampler's own DegenerateDensity)
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({**config, "trajectories": {"n": 50}}))
-        with np.errstate(all="ignore"):
-            status = main(["trajectories", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
-        assert status == 4
+        status = main(["trajectories", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        assert status == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "DegenerateDensity"
-        assert "not finite" in err["message"]
+        assert err == {"error": "ValidationError", "message": message}
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_trajectory_count_cap_exits_before_allocating(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
@@ -480,27 +487,27 @@ class TestExitCodes:
         [
             (
                 "field", {"slits": [{"center": 0, "sigma0": 1e200}]},
-                {"slits": [{"center": 0, "sigma0": 1e154}]},
-                "slits[0]: sigma0**2 lies outside the double range (sigma0 = 1e+200)",
+                {"slits": [{"center": 0, "sigma0": 1e153}]},
+                "slits[0]: sigma_t is not finite at t = 0.001",
             ),
             (
                 "packet", {"slits": [{"center": 0, "sigma0": 1e-200}]},
-                {"slits": [{"center": 0, "sigma0": 1e-160}]},
-                "slits[0]: sigma0**2 lies outside the double range (sigma0 = 1e-200)",
+                {"slits": [{"center": 0, "sigma0": 1e-77}]},
+                "slits[0]: sigma_t is not finite at t = 0.001",
             ),
             (
                 "verify", {"slits": [{"center": 0, "drift": 1e200}]},
-                {"slits": [{"center": 0, "drift": -1e154}]},
-                "slits[0]: drift**2 overflows a double (drift = 1e+200)",
+                {"slits": [{"center": 0, "drift": -1e153}]},
+                "slits[0]: eval_packet is not finite at t = 0.001",
             ),
             (
-                "verify", {"hbar": 1e300}, {"hbar": 1e150},
-                "hbar, mass: (hbar / (2 mass) * t)**2 overflows at t = 2.0",
+                "verify", {"hbar": 1e300}, {"hbar": 1e102},
+                "slits[0]: sigma_t is not finite at t = 0.001",
             ),
             (
                 "verify", {"mass": 1e-300, "trajectories": {"t1": 3.0}},
-                {"mass": 1e-150, "trajectories": {"t1": 3.0}},
-                "hbar, mass: (hbar / (2 mass) * t)**2 overflows at t = 3.0",
+                {"mass": 1e-101, "trajectories": {"t1": 3.0}},
+                "slits[0]: sigma_t is not finite at t = 0.001",
             ),
         ],
         ids=["sigma0-overflow", "sigma0-underflow", "drift", "hbar", "mass"],
@@ -508,8 +515,9 @@ class TestExitCodes:
     def test_square_outside_the_double_range_is_validation_exit(
         self, tmp_path, capsys, sub, bad, good, message
     ):
-        # the packet formulas square these as Python floats, which raise on
-        # overflow (and sigma0**2 divides), so they must be caught at parse time
+        # the packet formulas cannot form these as doubles (a Python-float
+        # power raises, or sigma_t overflows), so the domain check rejects
+        # them at parse time; each good value is one decade inside the rule
         parse_config(json.dumps(good))
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(bad))

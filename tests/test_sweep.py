@@ -1,0 +1,275 @@
+"""A random-config sweep over the five subcommands, and the configs it pinned.
+
+Each drawn config (1-4 slits, every key optional, values either moderate
+or magnitudes up to 1e300) runs through `main` in-process for every
+subcommand, twice.  Every finite config must get a clear outcome:
+
+- exit 0, 2 or 3, or 4 only for a runtime condition of the physics
+  (DegenerateDensity, NodalPoint or BoundaryLeak);
+- a rerun writes the same bytes, exit status and error line;
+- an ensemble accounts for every trajectory, n_aborted + sum(counts) == n;
+- at small phases, field.csv agrees with the channel route
+  (channels.assemble of build_channels), and so do verify's P and J
+  deviations and its peak P.
+
+The sweep is derandomised, so every run draws the same examples.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from path_excitation import cli, trajectories
+from path_excitation.channels import assemble, build_channels
+from path_excitation.cli import SUBCOMMANDS, main, parse_config
+from path_excitation.field import open_evals
+
+RUNTIME_ERRORS = {"DegenerateDensity", "NodalPoint", "BoundaryLeak"}
+# Roundoff in the carriers grows like |theta| * eps, so up to this bound
+# on |theta| over the grid the two routes agree to criterion 2's 1e-12.
+PHASE_MAX = 1e3
+
+
+def _run(sub, config, out):
+    """(exit status, error line, artifact bytes) of one run, and its ensembles."""
+    out.mkdir()
+    cfg_path = out / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(trajectories.ensemble(*args, **kwargs))
+        return results[-1]
+
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), mock.patch.object(cli, "ensemble", spy):
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            code = main([sub, "--config", str(cfg_path), "--out-dir", str(out / "out")])
+    lines = [json.loads(line) for line in err.getvalue().splitlines() if line.startswith("{")]
+    files = {f.name: f.read_bytes() for f in sorted((out / "out").glob("*"))}
+    return (code, lines, files), results
+
+
+def _phase_bound(cfg):
+    """An upper bound on |theta| of every slit over the grid (nan or inf if none)."""
+    p, g = cfg.params, cfg.grid
+    d, t = p.diffusion, g.t
+    bounds = []
+    with np.errstate(all="ignore"):
+        for s in cfg.slits:
+            s0sq = np.float64(s.sigma0) ** 2
+            ssq = s0sq + (d * t) ** 2 / s0sq
+            xi = max(abs(g.x_min - s.center - s.drift * t), abs(g.x_max - s.center - s.drift * t))
+            dx = max(abs(g.x_min - s.center), abs(g.x_max - s.center))
+            bounds.append(
+                xi * xi * d * t / (4.0 * s0sq * ssq)
+                + p.mass * abs(s.drift) * dx / p.hbar
+                + p.mass * np.float64(s.drift) ** 2 * t / (2.0 * p.hbar)
+                + abs(s.phase0)
+                + np.pi / 4.0
+            )
+    return np.max(bounds)  # a nan anywhere survives
+
+
+def _check_channel_route(cfg, field_csv, verify_json):
+    """At small phases, field.csv is the channel route's field and verify passes."""
+    if not cfg.mask.open or not _phase_bound(cfg) <= PHASE_MAX:
+        return
+    with np.errstate(all="ignore"):
+        evals = open_evals(cfg.params, list(cfg.slits), cfg.mask, cfg.grid.points(), cfg.grid.t)
+        twin = assemble(build_channels(evals))
+        vmax = max(np.max(np.abs(e.conv_velocity) + np.abs(e.diff_velocity)) for e in evals)
+    peak = np.max(twin.p_tot)
+    if not (np.isfinite(peak) and peak > 0.0 and np.isfinite(vmax) and np.isfinite(twin.j_tot).all()):
+        return
+    rows = np.loadtxt(io.StringIO(field_csv.decode()), delimiter=",", skiprows=1, ndmin=2)
+    assert np.max(np.abs(rows[:, 1] - twin.p_tot)) <= 1e-12 * peak
+    assert np.max(np.abs(rows[:, 2] - twin.j_tot)) <= 1e-12 * peak * (1.0 + vmax)
+    # verify's deviations on the same scales.  Its own rule scales J by
+    # peak |J| and v by max |v|, which roundoff beats where J is far below
+    # P * u (see PINNED), so neither its verdict nor max_rel_dev_v is used.
+    report = json.loads(verify_json)
+    assert report["max_abs_dev_p"] <= 1e-10 * peak, report
+    assert report["max_abs_dev_j"] <= 1e-10 * peak * (1.0 + vmax), report
+    assert abs(report["peak_p"] - peak) <= 1e-10 * peak, report
+
+
+def check_config(config, rerun=True):
+    """Run config through every subcommand and check the sweep's properties."""
+    outcomes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for sub in SUBCOMMANDS:
+            first, results = _run(sub, config, Path(tmp) / f"{sub}-a")
+            if rerun:
+                again, _ = _run(sub, config, Path(tmp) / f"{sub}-b")
+                assert first == again, f"{sub} is not reproducible"
+            code, errors, files = first
+            if code == 4:
+                assert len(errors) == 1 and errors[0]["error"] in RUNTIME_ERRORS, errors
+            else:
+                assert code in (0, 2, 3), (code, errors)
+                assert len(errors) == (code == 2), errors
+            for res in results:
+                assert res.n_aborted + int(res.counts.sum()) == res.n_trajectories
+            outcomes[sub] = first
+    if outcomes["field"][0] == 0:
+        cfg = parse_config(json.dumps(config))
+        _check_channel_route(cfg, outcomes["field"][2]["field.csv"], outcomes["verify"][2]["verify.json"])
+    return {sub: outcome[0] for sub, outcome in outcomes.items()}
+
+
+def _signed(positive):
+    return st.builds(lambda sign, v: sign * v, st.sampled_from([1.0, -1.0]), positive)
+
+
+# Moderate values, or 10**e for e up to 300 (down to -300 where a key may be small).
+_MODERATE = st.floats(0.1, 10.0)
+_HUGE = st.floats(-3.0, 300.0).map(lambda e: 10.0**e)
+_WIDE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def configs(draw):
+    slit = st.fixed_dictionaries(
+        {"center": _signed(st.one_of(_MODERATE, _HUGE))},
+        optional={
+            "sigma0": st.one_of(_MODERATE, _WIDE),
+            "drift": _signed(st.one_of(_MODERATE, _HUGE)),
+            "weight": st.one_of(st.just(0.0), _MODERATE, _WIDE),
+            "phase0": _signed(st.one_of(_MODERATE, _HUGE)),
+        },
+    )
+    config = draw(
+        st.fixed_dictionaries(
+            {"slits": st.lists(slit, min_size=1, max_size=4)},
+            optional={"hbar": st.one_of(_MODERATE, _WIDE), "mass": st.one_of(_MODERATE, _WIDE)},
+        )
+    )
+    grid = {"n": draw(st.integers(2, 33))}
+    if draw(st.booleans()):
+        grid["t"] = draw(st.one_of(st.just(0.0), _MODERATE, _HUGE))
+    if draw(st.booleans()):
+        grid["xmin"], grid["xmax"] = sorted(draw(st.lists(_signed(_HUGE), min_size=2, max_size=2)))
+    traj = {"n": draw(st.integers(1, 16)), "bins": draw(st.integers(1, 8))}
+    # Controlled stepping takes up to 2000 floor steps over a window, so
+    # it runs only on moderate windows; other windows take 1-40 RK4 steps.
+    t1 = grid.get("t", 2.0)
+    if t1 > 10.0 or (t1 > 1e-3 and draw(st.booleans())):
+        traj["dt"] = (t1 - 1e-3) / draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        n = len(config["slits"])
+        config["mask"] = sorted(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
+    return {**config, "grid": grid, "trajectories": traj}
+
+
+@settings(
+    max_examples=40,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(configs())
+def test_random_configs_get_a_clear_outcome(config):
+    check_config(config)
+
+
+# Each config with its exit status on field, trajectories, sorkin, verify
+# and packet, the order of SUBCOMMANDS.
+PINNED = [
+    # sigma_t's tau * tau overflows at t0, so the sampler window was inf
+    # and trajectories exited 4 with MismatchedPoint while field passed
+    (
+        {"slits": [{"center": -3}, {"center": 3, "sigma0": 1e-80}], "trajectories": {"n": 50}},
+        (2, 2, 2, 2, 2),
+    ),
+    # a lone survivor near 3e50, where numpy's +-0.5 range widening rounds away
+    (
+        {
+            "slits": [{"center": 2.09128160260725}],
+            "hbar": 7.652941851576945e50,
+            "grid": {"n": 47},
+            "trajectories": {"n": 1, "bins": 6},
+        },
+        (0, 0, 2, 0, 0),
+    ),
+    # the phase overflows at grid.t; trajectories exited 4 with MismatchedPoint
+    (
+        {
+            "slits": [
+                {"center": 0.8015171634341023, "sigma0": 9.596781953312769e150,
+                 "drift": -1.8299560776148117e20},
+                {"center": 2.6553656400556065, "sigma0": 3.013393755405122e100},
+            ],
+            "grid": {"n": 51, "t": 3.038992853048083e50},
+            "trajectories": {"n": 1, "bins": 4},
+        },
+        (2, 2, 2, 2, 2),
+    ),
+    # verify exits 3 on roundoff alone in these two: J is far below P * u
+    # (a heavy mass; a wide packet with a phase offset), and the oracle's
+    # Im(conj(psi) dpsi) carries roundoff on the P * u scale, which beats
+    # 1e-10 of peak |J| (and of max |v|)
+    (
+        {
+            "mass": 5.784124784294678e86,
+            "slits": [
+                {"sigma0": 5.784124784294678e86, "center": -5.784124784294678e86},
+                {"center": 7.170093427176699},
+                {"phase0": 7.170093427176699, "center": -6.999334885045152},
+                {"phase0": 7.170093427176699, "center": -6.999334885045152},
+            ],
+            "hbar": 8.947442283434667,
+            "grid": {"n": 31},
+            "trajectories": {"n": 13, "bins": 4},
+        },
+        (0, 0, 0, 3, 0),
+    ),
+    (
+        {
+            "slits": [{"sigma0": 59900725.82858783, "center": 0.5118747018398072, "phase0": 0.1}],
+            "grid": {"n": 2},
+            "trajectories": {"n": 2, "bins": 1},
+        },
+        (0, 0, 2, 3, 0),
+    ),
+    # probes only at the centre and +-10 widths missed a phase that
+    # overflows 3-4 widths out at t1, where xi * xi * d * t overflows but
+    # xi * xi does not; trajectories exited 4 with MismatchedPoint
+    (
+        {
+            "slits": [
+                {"center": -1.2120993002699133e165},
+                {"center": 7.06854548178293, "sigma0": 5.5357176723987545,
+                 "phase0": 3.9988324580711036e111},
+                {"phase0": 7.604873024794135, "sigma0": 5.5357176723987545,
+                 "center": -1.965263707029552, "drift": -3.9988324580711036e111,
+                 "weight": 6.3582883755906074},
+                {"phase0": 8.460368497673246e90, "sigma0": 2.9926922906717462e153,
+                 "weight": 6.3582883755906074, "center": -8.131330596851434,
+                 "drift": 2.9926922906717462e153},
+            ],
+            "mask": [1, 3],
+            "grid": {"n": 20, "t": 6.3582883755906074},
+            "trajectories": {"n": 1, "bins": 8, "dt": 1.0595480625984346},
+        },
+        (2, 2, 2, 2, 2),
+    ),
+]
+
+
+@pytest.mark.parametrize(("config", "exits"), PINNED)
+def test_pinned_config_gets_a_clear_outcome(config, exits):
+    # one run each: the random sweep checks reruns, and one pinned
+    # trajectories run takes 2000 controlled steps
+    assert tuple(check_config(config, rerun=False).values()) == exits

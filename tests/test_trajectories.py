@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from path_excitation import trajectories
+from path_excitation import packet, trajectories
 from path_excitation.errors import DegenerateDensity
 from path_excitation.field import SlitMask
 from path_excitation.packet import PhysParams, SlitSpec, sigma_t
@@ -56,6 +56,25 @@ class TestSampling:
             sample_initial(P, dark, ONE, 0.5, 10, seed=0)
         with pytest.raises(DegenerateDensity):
             sample_initial(P, SYMMETRIC, SlitMask([]), 0.5, 10, seed=0)
+
+    @pytest.mark.parametrize(
+        ("params", "slits"),
+        [
+            (PhysParams(hbar=1e150), SYMMETRIC),
+            (P, [SlitSpec(center=0.0, sigma0=1e154)]),
+            (P, [SlitSpec(center=0.0, sigma0=1e-160)]),
+        ],
+        ids=["huge_hbar", "huge_sigma0", "tiny_sigma0"],
+    )
+    def test_non_finite_intensity_is_degenerate(self, params, slits):
+        # the config parser's domain check rejects these slits, but a
+        # library caller bypasses it, so the sampler keeps its own guard
+        with pytest.raises(ValueError, match="is not finite at t = 0.001"):
+            packet._check_domain(params, slits[0], (1e-3,))
+        mask = SlitMask.all_open(len(slits))
+        with np.errstate(all="ignore"):
+            with pytest.raises(DegenerateDensity, match="total integrated intensity nan is not finite"):
+                sample_initial(params, slits, mask, 1e-3, 50, seed=0)
 
     def test_quantile_starts_are_sorted_and_deterministic(self):
         a = quantile_initial(P, SYMMETRIC, BOTH, 1e-3, 31)
@@ -181,6 +200,22 @@ class TestEnsemble:
         var = np.sum((mids - mean) ** 2 * w)
         target = sigma_t(P, SINGLE[0], 2.0) ** 2
         assert abs(var - target) <= 0.15 * target
+
+    def test_far_lone_survivor_is_counted(self):
+        # numpy widens a one-value range by +-0.5, which rounds away at the
+        # survivor's magnitude (about 3e50), so there is no room for 6 bins
+        params = PhysParams(hbar=7.652941851576945e50)
+        res = ensemble(params, [SlitSpec(center=2.09128160260725)], ONE, 1e-3, 2.0, 1, dt=0.5, bins=6)
+        assert res.n_aborted == 0 and res.counts.sum() == 1
+        assert res.bin_edges.size == 7 and np.all(np.diff(res.bin_edges) > 0)
+        with pytest.raises(ValueError, match="Too many bins"):  # one value there
+            np.histogram(res.bin_edges[3:4], bins=6)
+
+    def test_lone_survivor_keeps_numpy_range(self):
+        res = ensemble(P, SINGLE, ONE, 1e-3, 1.0, 1, dt=0.05, bins=4)
+        x = res.bin_edges[0] + 0.5
+        assert res.counts.sum() == 1
+        assert np.array_equal(res.bin_edges, np.histogram([x], bins=4)[1])
 
     def test_seed_changes_histogram(self):
         a = ensemble(P, SINGLE, ONE, 1e-3, 1.0, 400, dt=0.05, bins=30, seed=0)

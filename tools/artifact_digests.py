@@ -124,14 +124,14 @@ CASES = [
     ("bad_dt", {"trajectories": {"dt": -1}}, ("field",)),
     ("bad_hbar", {"hbar": True}, ("field",)),
     ("bad_sigma", {"slits": [{"center": 0, "sigma0": -1}]}, ("field",)),
-    # squares the packet formulas form as Python floats, which raise on
-    # overflow (sigma0**2 also divides): exit 2 naming the key
+    # values the packet formulas cannot form as doubles: exit 2 naming
+    # the slit, the output and the time
     ("overflow_sigma", {"slits": [{"center": 0, "sigma0": 1e200}]}, ("field",)),
     ("underflow_sigma", {"slits": [{"center": 0, "sigma0": 1e-200}]}, ("packet",)),
     ("overflow_drift", {"slits": [{"center": 0, "drift": 1e200}]}, ("verify",)),
     ("overflow_hbar", {"hbar": 1e300}, ("verify",)),
-    # finite, valid configs whose sampler intensity is NaN: exit 4 with
-    # DegenerateDensity naming the non-finite total
+    # finite configs whose sampler intensity would be NaN: the domain
+    # check rejects them at parse time, exit 2 naming the slit
     ("nan_sampler_hbar", {"hbar": 1e150, "trajectories": {"n": 50}}, ("trajectories",)),
     (
         "nan_sampler_wide",
@@ -141,6 +141,37 @@ CASES = [
     (
         "nan_sampler_narrow",
         {"slits": [{"center": 0, "sigma0": 1e-160}], "trajectories": {"n": 50}},
+        ("trajectories",),
+    ),
+    # sigma_t's tau * tau overflows at t0, while field alone once passed
+    (
+        "tiny_sigma_t0",
+        {"slits": [{"center": -3}, {"center": 3, "sigma0": 1e-80}], "trajectories": {"n": 50}},
+        ("field", "trajectories", "packet"),
+    ),
+    # a lone survivor near 3e50, where numpy's +-0.5 range widening rounds away
+    (
+        "far_lone_survivor",
+        {
+            "slits": [{"center": 2.09128160260725}],
+            "hbar": 7.652941851576945e50,
+            "grid": {"n": 47},
+            "trajectories": {"n": 1, "bins": 6},
+        },
+        ("trajectories",),
+    ),
+    # a phase that overflows at grid.t
+    (
+        "phase_overflow_grid_t",
+        {
+            "slits": [
+                {"center": 0.8015171634341023, "sigma0": 9.596781953312769e150,
+                 "drift": -1.8299560776148117e20},
+                {"center": 2.6553656400556065, "sigma0": 3.013393755405122e100},
+            ],
+            "grid": {"n": 51, "t": 3.038992853048083e50},
+            "trajectories": {"n": 1, "bins": 4},
+        },
         ("trajectories",),
     ),
 ]
