@@ -12,7 +12,6 @@ from .channels import (
     Channel,
     ChannelKind,
     ChannelSet,
-    FieldSample,
     assemble,
     build_channels,
     channel_current,
@@ -28,6 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .field import (
+    FieldSample,
     GridSpec,
     SlitMask,
     field_grid,

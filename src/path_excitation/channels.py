@@ -30,7 +30,8 @@ of the right one, the two diffusive projections of a slit cancel in
 p_tot identically, while their currents combine to u * P(right).
 
 Relative phases enter only through dot products of carriers, never
-through unwrapped phase values.
+through unwrapped phase values.  This module is the verification twin
+of `field`'s pairwise path, whose nodal rule it applies.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import MismatchedPoint
+from .field import DEFAULT_NODE_FLOOR, FieldSample, _common_point, _guidance
 from .packet import PacketEval
 
 __all__ = [
@@ -53,8 +54,6 @@ __all__ = [
     "channel_current",
     "assemble",
 ]
-
-DEFAULT_NODE_FLOOR = 1e-12
 
 
 class ChannelKind(Enum):
@@ -90,31 +89,6 @@ class ChannelSet:
     @property
     def n_slits(self) -> int:
         return len(self.channels) // 3
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Assembled totals at one point (or elementwise over a grid).
-
-    v_tot is j_tot / p_tot where the point is not nodal and NaN where it
-    is; nodal marks density below the caller's node floor.
-    """
-
-    p_tot: np.ndarray
-    j_tot: np.ndarray
-    v_tot: np.ndarray
-    nodal: np.ndarray
-
-
-def _common_point(evals: list[PacketEval]) -> tuple[np.ndarray, float]:
-    """(x, t) shared by evals; ValueError if empty, MismatchedPoint if not shared."""
-    if not evals:
-        raise ValueError("at least one packet evaluation is required")
-    x0, t0 = evals[0].x, evals[0].t
-    for j, ev in enumerate(evals[1:], start=1):
-        if not (np.array_equal(ev.x, x0) and ev.t == t0):
-            raise MismatchedPoint(f"evaluation {j} is not at the common (x, t)")
-    return x0, t0
 
 
 def build_channels(evals: list[PacketEval]) -> ChannelSet:
@@ -164,11 +138,9 @@ def assemble(
 ) -> FieldSample:
     """Sum all channel densities and currents into one FieldSample.
 
-    Sums run in channel order so repeated runs are bit-identical.  A
-    point is nodal when p_tot < node_floor * peak, with the reference
-    peak supplied by the caller (1.0 makes the floor absolute).  With a
-    single slit the guidance velocity is the convective velocity itself
-    (see `_guidance`).
+    Sums run in channel order so repeated runs are bit-identical.  The
+    nodal reference peak is supplied by the caller (1.0 makes the floor
+    absolute) and field._guidance applies the rule.
     """
     m = _mean_orientation(cset)
     p_tot = np.zeros(m.shape[:-1])
@@ -177,30 +149,5 @@ def assemble(
         p_i = ch.amplitude * (ch.orientation[..., 0] * m[..., 0] + ch.orientation[..., 1] * m[..., 1])
         p_tot = p_tot + p_i
         j_tot = j_tot + ch.physical_velocity * p_i
-    single = cset.channels[0].physical_velocity if len(cset.channels) == 3 else None
-    return _guidance(p_tot, j_tot, node_floor * peak, single)
-
-
-def _guidance(p, j, floor, single_v=None) -> FieldSample:
-    """Guidance kernel: FieldSample from totals p, j and a nodal floor.
-
-    A point is nodal when p < floor; its velocity is NaN.  A single-slit
-    velocity single_v carries no interference and is returned verbatim
-    at live points, so the identity holds to the last bit; otherwise
-    v = j / p.  Each caller supplies its own nodal reference:
-
-      assemble, pairwise_field   node_floor * peak, peak from the caller
-      field_grid                 node_floor * max P_tot over the grid
-                                 (every point nodal if that max is <= 0);
-                                 equivalence_report checks this field
-      trajectories               node_floor * peak_bound, the in-phase
-                                 bound at the stage time
-    """
-    nodal = p < floor
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if single_v is not None:
-            v_raw = np.broadcast_to(single_v, p.shape)
-        else:
-            v_raw = j / np.where(nodal, 1.0, p)
-        v_tot = np.where(nodal, np.nan, v_raw)
-    return FieldSample(p_tot=p, j_tot=j, v_tot=v_tot, nodal=nodal)
+    conv = [ch.physical_velocity for ch in cset.channels if ch.kind is ChannelKind.CONVECTIVE]
+    return _guidance(p_tot, j_tot, node_floor, peak, conv)

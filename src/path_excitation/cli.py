@@ -23,9 +23,8 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .channels import DEFAULT_NODE_FLOOR
 from .errors import ParseError, ValidationError
-from .field import GridSpec, SlitMask, _grid_blocks
+from .field import DEFAULT_NODE_FLOOR, GridSpec, SlitMask, _grid_blocks
 from .oracle import equivalence_report
 from .packet import PhysParams, SlitSpec, _check_domain, sigma_t
 from .sorkin import sumrule_report
@@ -206,11 +205,11 @@ def parse_config(text: str) -> RunConfig:
             raise ValidationError(f"slits[{i}]: {exc}") from None
     n = _integer(traj_raw.get("n", 10000), "trajectories.n")
     if n < 1:
-        raise ValidationError("n >= 1 violated")
+        raise ValidationError("trajectories.n >= 1 violated")
     _check_cap(n, _MAX_TRAJECTORIES, "trajectories.n")
     bins = _integer(traj_raw.get("bins", 100), "trajectories.bins")
     if bins < 1:
-        raise ValidationError("bins >= 1 violated")
+        raise ValidationError("trajectories.bins >= 1 violated")
     _check_cap(bins, _MAX_BINS, "trajectories.bins")
     seed = _integer(traj_raw.get("seed", 0), "trajectories.seed")
 

@@ -28,19 +28,21 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import DEFAULT_NODE_FLOOR, FieldSample, _common_point, _guidance
-from .errors import NegativeTime
+from .errors import MismatchedPoint, NegativeTime
 from .packet import PacketEval, PhysParams, SlitSpec, eval_packet, sigma_t
 
 __all__ = [
     "GridSpec",
     "SlitMask",
+    "FieldSample",
     "open_evals",
     "intensity",
     "pairwise_field",
     "field_grid",
     "peak_bound",
 ]
+
+DEFAULT_NODE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,47 @@ class SlitMask:
                 raise ValueError(f"mask index {i} out of range for {n_slits} slits")
 
 
+@dataclass(frozen=True)
+class FieldSample:
+    """Assembled totals at one point (or elementwise over a grid).
+
+    nodal and v_tot are as _guidance decides them: v_tot is NaN at
+    nodal points and the guidance velocity elsewhere.
+    """
+
+    p_tot: np.ndarray
+    j_tot: np.ndarray
+    v_tot: np.ndarray
+    nodal: np.ndarray
+
+
+def _common_point(evals: list[PacketEval]) -> tuple[np.ndarray, float]:
+    """(x, t) shared by evals; ValueError if empty, MismatchedPoint if not shared."""
+    if not evals:
+        raise ValueError("at least one packet evaluation is required")
+    x0, t0 = evals[0].x, evals[0].t
+    for j, ev in enumerate(evals[1:], start=1):
+        if not (np.array_equal(ev.x, x0) and ev.t == t0):
+            raise MismatchedPoint(f"evaluation {j} is not at the common (x, t)")
+    return x0, t0
+
+
+def _guidance(p, j, node_floor, peak, conv) -> FieldSample:
+    """The one nodal and guidance rule: FieldSample from totals p, j.
+
+    A point is nodal when p < node_floor * peak, and every point is when
+    the reference peak is not positive (NaN included): v = j / p needs
+    density.  Nodal points get v = NaN.  conv holds the open slits'
+    convective velocities; one slit carries no interference, so its own
+    is returned verbatim at live points, otherwise v = j / p.
+    """
+    nodal = p < node_floor * peak if peak > 0.0 else np.ones(np.shape(p), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_raw = np.broadcast_to(conv[0], p.shape) if len(conv) == 1 else j / np.where(nodal, 1.0, p)
+        v_tot = np.where(nodal, np.nan, v_raw)
+    return FieldSample(p_tot=p, j_tot=j, v_tot=v_tot, nodal=nodal)
+
+
 def open_evals(
     params: PhysParams, slits: list[SlitSpec], mask: SlitMask, x, t: float
 ) -> list[PacketEval]:
@@ -107,7 +150,7 @@ def _pair_products(evals: list[PacketEval]):
     combinations order (the closed form's summation order), (i, k,
     cross, cphi, sphi) with cross = R_i R_k and cphi, sphi the cosine
     and sine of phi_ik from the carriers' cos and sin.  The evaluations
-    must pass channels._common_point.
+    must pass _common_point.
     """
     _common_point(evals)
     amp = [np.asarray(ev.amplitude, dtype=float) for ev in evals]
@@ -161,13 +204,11 @@ def pairwise_field(
     """FieldSample from the pairwise closed form.
 
     Matches channels.assemble(build_channels(evals)) to rounding; the
-    nodal floor is node_floor * peak with the peak supplied by the
-    caller, as in `channels`.  A single packet carries no interference,
-    so its guidance velocity is the convective velocity verbatim.
+    nodal reference peak is supplied by the caller (1.0 makes the floor
+    absolute) and _guidance applies the rule.
     """
     p, j = _pairwise(evals)
-    single = evals[0].conv_velocity if len(evals) == 1 else None
-    return _guidance(p, j, node_floor * peak, single)
+    return _guidance(p, j, node_floor, peak, [ev.conv_velocity for ev in evals])
 
 
 def peak_bound(params: PhysParams, slits: list[SlitSpec], mask: SlitMask, t: float) -> float:
@@ -193,11 +234,12 @@ def _grid_blocks(params, slits, mask, grid, node_floor):
 
     Consecutive blocks of _BLOCK points cover the grid in order.  evals
     are the open slits' evaluations at x and sample is their field under
-    field_grid's nodal rule.  Every operation is elementwise, so the
-    blocks are bit-identical to one whole-grid evaluation.  The nodal
-    reference, the grid maximum of P_tot, is taken by a first pass that
-    evaluates every block before this returns; the returned generator
-    evaluates each block again, so memory stays at the blocks and x.
+    _guidance, with the grid maximum of P_tot as the nodal reference
+    (not positive, and every point nodal, without density or with a NaN
+    anywhere).  Every operation is elementwise, so the blocks are
+    bit-identical to one whole-grid evaluation.  The reference is taken
+    by a first pass over every block before this returns; the returned
+    generator evaluates each block again, so memory stays at the blocks.
     """
     xs = grid.points()
     blocks = [xs[start:start + _BLOCK] for start in range(0, xs.size, _BLOCK)]
@@ -213,11 +255,7 @@ def _grid_blocks(params, slits, mask, grid, node_floor):
 
     def sample(x):
         evals, p, j = totals(x)
-        if not peak > 0.0:
-            dark = FieldSample(p, j, np.full(p.shape, np.nan), np.ones(p.shape, dtype=bool))
-            return x, evals, dark
-        single = evals[0].conv_velocity if len(evals) == 1 else None
-        return x, evals, _guidance(p, j, node_floor * peak, single)
+        return x, evals, _guidance(p, j, node_floor, peak, [ev.conv_velocity for ev in evals])
 
     return map(sample, blocks)
 
@@ -231,9 +269,10 @@ def field_grid(
 ) -> FieldSample:
     """Evaluate the field on the grid as one array-valued FieldSample.
 
-    Entry k belongs to grid.points()[k].  The nodal reference peak is
-    the maximum P_tot over this grid; when that maximum is not positive,
-    as for an empty mask (zero intensity), every point is nodal.
+    Entry k belongs to grid.points()[k].  The nodal reference is the
+    maximum P_tot over this grid, so under _guidance's rule a grid with
+    no positive density (an empty mask, or open slits of zero weight)
+    is nodal at every point.
     """
     blocks = _grid_blocks(params, slits, mask, grid, node_floor)
     parts = [(fs.p_tot, fs.j_tot, fs.v_tot, fs.nodal) for _, _, fs in blocks]

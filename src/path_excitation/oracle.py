@@ -42,9 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DEFAULT_NODE_FLOOR
 from .errors import BoundaryLeak, NodalPoint
-from .field import GridSpec, SlitMask, _grid_blocks, peak_bound
+from .field import DEFAULT_NODE_FLOOR, GridSpec, SlitMask, _grid_blocks, peak_bound
 from .packet import PhysParams, SlitSpec, _check_time, psi
 
 __all__ = [
@@ -147,10 +146,16 @@ def bohm_velocity(
 
     The nodal reference is the analytic in-phase peak bound at time t,
     so the check needs no surrounding grid.  Any evaluation point with
-    P below node_floor times that reference raises NodalPoint.
+    P below node_floor times that reference raises NodalPoint, as does
+    any point when the reference is not positive (no density at all).
+    That is field._guidance's rule, spelled apart to keep the routes
+    independent.
     """
     p, j = qm_current(params, slits, mask, x, t)
-    floor = node_floor * peak_bound(params, slits, mask, t)
+    peak = peak_bound(params, slits, mask, t)
+    if not peak > 0.0:
+        raise NodalPoint(f"nodal reference {peak:g} is not positive at t = {t}")
+    floor = node_floor * peak
     if np.any(p < floor):
         raise NodalPoint(f"density below nodal floor {floor:g} at t = {t}")
     return j / p

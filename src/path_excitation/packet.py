@@ -162,16 +162,17 @@ def psi(params: PhysParams, slit: SlitSpec, x, t: float) -> np.ndarray:
 
 
 _PACKET_OUTPUTS = ("amplitude", "cos", "sin", "conv_velocity", "diff_velocity")
-_PROBES = np.arange(-10.0, 11.0)  # widths from the centre across the sampler's window
+_WINDOW_WIDTHS = 10.0  # the sampler's window: this many widths either side of a centre
+_PROBES = np.arange(-_WINDOW_WIDTHS, _WINDOW_WIDTHS + 1.0)  # one width apart
 
 
 def _check_domain(params: PhysParams, slit: SlitSpec, times, xs=()) -> None:
     """Raise ValueError unless sigma_t, eval_packet and psi are finite for slit.
 
-    At each t of times they run at xs and at the packet centre +- 10
-    widths, one width apart (the sampler's window): beyond a square that
-    overflows the amplitude reads 0, which would hide a non-finite phase
-    nearer the centre.  A Python-float power or division that raises
+    At each t of times they run at xs and at the packet centre +-
+    _WINDOW_WIDTHS widths, one width apart (the sampler's window):
+    beyond a square that overflows the amplitude reads 0, which would
+    hide a non-finite phase nearer the centre.  A Python-float power or division that raises
     counts as not finite.
     """
     for t in times:

@@ -31,10 +31,9 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import DEFAULT_NODE_FLOOR
 from .errors import DegenerateDensity
-from .field import SlitMask, intensity, open_evals, pairwise_field, peak_bound
-from .packet import PhysParams, SlitSpec, sigma_t
+from .field import DEFAULT_NODE_FLOOR, SlitMask, intensity, open_evals, pairwise_field, peak_bound
+from .packet import _WINDOW_WIDTHS, PhysParams, SlitSpec, sigma_t
 
 __all__ = [
     "Termination",
@@ -269,9 +268,10 @@ def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, record=False) -> _B
 def _tabulated_cdf(params, slits, mask, t0):
     """Normalized CDF of the t0 intensity on the fixed sampler grid.
 
-    The grid spans 10 maximal widths beyond the outermost packet
-    centers; trapezoids integrate the density.  A total intensity that
-    is not finite, or numerically zero, raises DegenerateDensity.
+    The grid spans _WINDOW_WIDTHS maximal widths beyond the outermost
+    packet centers, the window packet._check_domain probes; trapezoids
+    integrate the density.  A total intensity that is not finite, or
+    numerically zero, raises DegenerateDensity.
     """
     mask.check_against(len(slits))
     idx = mask.indices()
@@ -279,8 +279,8 @@ def _tabulated_cdf(params, slits, mask, t0):
         raise DegenerateDensity("empty mask carries no intensity to sample")
     centers = [slits[i].center + slits[i].drift * t0 for i in idx]
     width = max(sigma_t(params, slits[i], t0) for i in idx)
-    lo = min(centers) - 10.0 * width
-    hi = max(centers) + 10.0 * width
+    lo = min(centers) - _WINDOW_WIDTHS * width
+    hi = max(centers) + _WINDOW_WIDTHS * width
     xs = np.linspace(lo, hi, _SAMPLER_POINTS)
     p = intensity(open_evals(params, slits, mask, xs, t0))
     dx = xs[1] - xs[0]

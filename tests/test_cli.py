@@ -526,6 +526,28 @@ class TestExitCodes:
         assert err == {"error": "ValidationError", "message": message}
         assert list(tmp_path.iterdir()) == [cfg_path]
 
+    @pytest.mark.parametrize(
+        ("config", "error", "message"),
+        [
+            ([], "ParseError", "top-level value must be an object"),
+            ({"grid": []}, "ParseError", "grid: expected an object"),
+            ({"hbar": 0}, "ValidationError", "hbar > 0 violated"),
+            ({"slits": []}, "ParseError", "slits: expected a non-empty list of objects"),
+            ({"mask": 0}, "ParseError", "mask: expected a list of slit indices"),
+            ({"trajectories": {"n": 0}}, "ValidationError", "trajectories.n >= 1 violated"),
+            ({"trajectories": {"bins": 0}}, "ValidationError", "trajectories.bins >= 1 violated"),
+            ({"node_floor": -1e-12}, "ValidationError", "node_floor >= 0 violated"),
+        ],
+        ids=["top-level", "grid", "hbar", "slits", "mask", "n", "bins", "node-floor"],
+    )
+    def test_rejected_value_names_its_key(self, tmp_path, capsys, config, error, message):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["field", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": error, "message": message}
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])

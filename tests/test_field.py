@@ -5,17 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
 
-from path_excitation.channels import (
-    DEFAULT_NODE_FLOOR,
-    FieldSample,
-    _guidance,
-    assemble,
-    build_channels,
-)
+from path_excitation.channels import assemble, build_channels
 from path_excitation.errors import MismatchedPoint, NegativeTime
 from path_excitation.field import (
     _BLOCK,
+    _guidance,
     _pairwise,
+    DEFAULT_NODE_FLOOR,
     GridSpec,
     SlitMask,
     field_grid,
@@ -191,14 +187,25 @@ def test_grid_single_slit_variance():
 
 
 def test_grid_empty_mask_is_dark():
-    """An empty mask, and open slits of zero weight, give an exactly dark grid."""
+    """An empty mask, and open slits of zero weight, give an exactly dark
+    grid; so does an explicit nodal reference that is not positive."""
     grid = GridSpec(-5.0, 5.0, 11, 1.0)
     dark = [SlitSpec(center=-1.0, weight=0.0), SlitSpec(center=1.0, weight=0.0)]
-    for slits, open_idx in ((SYMMETRIC, []), (dark, [0, 1])):
-        fs = field_grid(P, slits, SlitMask(open_idx), grid)
+    samples = [
+        field_grid(P, slits, SlitMask(open_idx), grid)
+        for slits, open_idx in ((SYMMETRIC, []), (dark, [0, 1]))
+    ]
+    for slits in (dark, dark[:1]):
+        evals = open_evals(P, slits, SlitMask.all_open(len(slits)), grid.points(), grid.t)
+        samples += [pairwise_field(evals, peak=0.0), assemble(build_channels(evals), peak=0.0)]
+    for fs in samples:
         assert np.array_equal(fs.p_tot, np.zeros(11)) and np.array_equal(fs.j_tot, np.zeros(11))
         assert np.array_equal(fs.v_tot, np.full(11, np.nan), equal_nan=True)
         assert np.array_equal(fs.nodal, np.ones(11, dtype=bool))
+    # the reference alone decides: lit points are nodal under a zero peak too
+    lit = open_evals(P, SYMMETRIC, SlitMask.all_open(2), grid.points(), grid.t)
+    for fs in (pairwise_field(lit, peak=0.0), assemble(build_channels(lit), peak=0.0)):
+        assert np.all(fs.p_tot > 0.0) and np.all(fs.nodal) and np.all(np.isnan(fs.v_tot))
     # pairwise_field has no empty form to compare against
     with pytest.raises(ValueError, match="at least one"):
         pairwise_field([])
@@ -263,11 +270,7 @@ def whole_grid_field(params, slits, mask, grid, node_floor=DEFAULT_NODE_FLOOR):
         p, j = _pairwise(evals)
     else:
         evals, p, j = [], np.zeros(xs.shape), np.zeros(xs.shape)
-    peak = float(np.max(p))
-    if not peak > 0.0:
-        return FieldSample(p, j, np.full(p.shape, np.nan), np.ones(p.shape, dtype=bool))
-    single = evals[0].conv_velocity if len(evals) == 1 else None
-    return _guidance(p, j, node_floor * peak, single)
+    return _guidance(p, j, node_floor, float(np.max(p)), [ev.conv_velocity for ev in evals])
 
 
 def assert_same_field(fs, ref):

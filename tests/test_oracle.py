@@ -9,6 +9,7 @@ Crank-Nicolson steps one at a time, and the leak check over the kept
 modes against one that sums every mode in every block.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -122,6 +123,18 @@ def test_bohm_velocity_raises_at_node():
     # far in the tail the density underflows any sensible floor
     with pytest.raises(NodalPoint):
         bohm_velocity(P, SYMMETRIC, BOTH, np.array([80.0]), 0.5)
+
+
+@pytest.mark.parametrize(
+    "slits, mask",
+    [([SlitSpec(center=-3.0, weight=0.0), SlitSpec(center=3.0, weight=0.0)], BOTH),
+     (SYMMETRIC, SlitMask([]))],
+    ids=["zero-weights", "empty-mask"],
+)
+def test_bohm_velocity_raises_in_a_dark_field(slits, mask):
+    # no density anywhere: the nodal reference is 0, and J/P would be 0/0
+    with pytest.raises(NodalPoint, match="not positive"):
+        bohm_velocity(P, slits, mask, np.array([-1.0, 0.0, 2.0]), 0.5)
 
 
 # ------------------------------------------------------------- propagation
@@ -380,6 +393,25 @@ def test_package_import_loads_no_scipy():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_no_production_module_imports_channels():
+    """channels is the verification twin: only the package root may import it."""
+    pkg = Path(path_excitation.__file__).resolve().parent
+    offenders = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name in ("__init__.py", "channels.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "channels" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 # -------------------------------------------------------------- equivalence

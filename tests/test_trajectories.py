@@ -174,6 +174,22 @@ def test_streamlines_record_frozen_positions_after_abort():
     assert abort_steps[0] == -1 and abort_steps[2] == -1
 
 
+@pytest.mark.parametrize("dt", [None, 0.05], ids=["controlled", "fixed"])
+@pytest.mark.parametrize("n_slits", [1, 2])
+def test_dark_field_aborts_at_the_start(n_slits, dt):
+    """Open slits of zero weight leave no density to guide: every point
+    is nodal, so a start aborts at sample 0 in both step modes."""
+    dark = [SlitSpec(center=-1.0, weight=0.0), SlitSpec(center=1.0, weight=0.0)][:n_slits]
+    mask = SlitMask.all_open(n_slits)
+    tr = integrate(P, dark, mask, 0.3, 0.5, 1.5, dt)
+    assert tr.terminated is Termination.NODAL_ABORT
+    assert tr.samples == [(0.5, 0.3)]
+    times, paths, abort_steps = streamlines(P, dark, mask, [-0.4, 0.3], 0.5, 1.5, dt)
+    assert times[0] == 0.5
+    assert list(abort_steps) == [0, 0]
+    assert np.array_equal(paths, np.broadcast_to([-0.4, 0.3], paths.shape))
+
+
 @pytest.mark.parametrize("dt", [None, 0.5])
 def test_streamlines_scalar_start_gives_one_column(dt):
     times, paths, _ = streamlines(P, SINGLE, ONE, 1.0, 0.0, 1.0, dt)

@@ -80,6 +80,17 @@ CASES = [
         {"slits": [{"center": -3.0, "weight": 0.0}, {"center": 3.0, "weight": 0.0}]},
         ("field", "verify"),
     ),
+    # a dark field reached through weights, on a small grid and through
+    # trajectories too: every grid point nodal, and no density to sample
+    (
+        "dark_weights",
+        {
+            "slits": [{"center": -1.0, "weight": 0.0}, {"center": 1.0, "weight": 0.0}],
+            "grid": {"xmin": -5.0, "xmax": 5.0, "n": 11, "t": 1.0},
+            "trajectories": {"n": 50},
+        },
+        ("field", "verify", "trajectories"),
+    ),
     # the explicit-dt (fixed RK4) path at the floor step of the default window
     ("fixed_dt", {"trajectories": {"dt": 0.0009995, "n": 500}}, ("trajectories",)),
     ("bad_window_dt", {"trajectories": {"t0": 2, "t1": 1, "dt": "x"}}, ("field",)),
