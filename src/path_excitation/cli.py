@@ -38,7 +38,6 @@ from .trajectories import (
 
 __all__ = ["RunConfig", "parse_config", "echo_config", "run_subcommand", "main"]
 
-SUBCOMMANDS = ("field", "trajectories", "sorkin", "verify", "packet")
 VERIFY_TOL = 1e-10
 SORKIN_TOL = 1e-12
 SORKIN_FLOOR = 1e-6  # the order-2 term must exceed this, normalized
@@ -278,18 +277,6 @@ def _write_csv(path: str, header: str, blocks, formats) -> None:
                 fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _write_field(cfg: RunConfig, path: str) -> None:
-    n_open = len(cfg.mask.open)
-    header = "x,P_tot,J_tot,v_tot,nodal" + "".join(f",R_{k + 1}" for k in range(n_open))
-    formats = ["%.17g"] * 4 + ["%d"] + ["%.17g"] * n_open
-    blocks = _grid_blocks(cfg.params, list(cfg.slits), cfg.mask, cfg.grid, cfg.node_floor)
-    columns = (
-        [x, fs.p_tot, fs.j_tot, fs.v_tot, fs.nodal, *(ev.amplitude for ev in evals)]
-        for x, evals, fs in blocks
-    )
-    _write_csv(path, header, columns, formats)
-
-
 def _write_histogram(path: str, edges: np.ndarray, counts: np.ndarray) -> None:
     total = int(counts.sum())
     widths = np.diff(edges)
@@ -355,7 +342,15 @@ def _write_sorkin(path: str, payload: dict) -> None:
 
 
 def _run_field(cfg: RunConfig, out_dir: str) -> int:
-    _write_field(cfg, os.path.join(out_dir, "field.csv"))
+    n_open = len(cfg.mask.open)
+    header = "x,P_tot,J_tot,v_tot,nodal" + "".join(f",R_{k + 1}" for k in range(n_open))
+    formats = ["%.17g"] * 4 + ["%d"] + ["%.17g"] * n_open
+    blocks = _grid_blocks(cfg.params, list(cfg.slits), cfg.mask, cfg.grid, cfg.node_floor)
+    columns = (
+        [x, fs.p_tot, fs.j_tot, fs.v_tot, fs.nodal, *(ev.amplitude for ev in evals)]
+        for x, evals, fs in blocks
+    )
+    _write_csv(os.path.join(out_dir, "field.csv"), header, columns, formats)
     return 0
 
 
@@ -428,24 +423,33 @@ def _run_packet(cfg: RunConfig, out_dir: str) -> int:
     return 0
 
 
+# name: (runner, help), in the order the subcommands are listed
+_COMMANDS = {
+    "field": (_run_field, "evaluate P_tot, J_tot, v_tot on the grid and write field.csv"),
+    "trajectories": (
+        _run_trajectories, "integrate an ensemble; write trajectories.csv and histogram.csv"
+    ),
+    "sorkin": (
+        _run_sorkin,
+        "write sorkin.json with the interference hierarchy of all slits (ignores mask)",
+    ),
+    "verify": (_run_verify, "compare field against the amplitude oracle; write verify.json"),
+    "packet": (_run_packet, "write packet.csv with the dispersion law of one packet"),
+}
+SUBCOMMANDS = tuple(_COMMANDS)
+
+
 def run_subcommand(name: str, config: RunConfig, out_dir: str = ".") -> int:
     """Run one subcommand, writing artifacts into out_dir.
 
     Returns the process exit status; tolerance failures from verify and
     sorkin return 3 after still writing their reports.
     """
-    if name not in SUBCOMMANDS:
+    if name not in _COMMANDS:
         raise ValueError(f"unknown subcommand '{name}'")
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, "config_echo.json"), echo_config(config))
-    runner = {
-        "field": _run_field,
-        "trajectories": _run_trajectories,
-        "sorkin": _run_sorkin,
-        "verify": _run_verify,
-        "packet": _run_packet,
-    }[name]
-    return runner(config, out_dir)
+    return _COMMANDS[name][0](config, out_dir)
 
 
 def _emit_error(exc: BaseException) -> None:
@@ -461,15 +465,8 @@ def main(argv=None) -> int:
         description="n-slit interference fields, trajectories, and sum-rule checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "field": "evaluate P_tot, J_tot, v_tot on the grid and write field.csv",
-        "trajectories": "integrate an ensemble; write trajectories.csv and histogram.csv",
-        "sorkin": "write sorkin.json with the interference hierarchy of all slits (ignores mask)",
-        "verify": "compare field against the amplitude oracle; write verify.json",
-        "packet": "write packet.csv with the dispersion law of one packet",
-    }
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config file (defaults apply when omitted)")
         p.add_argument("--out-dir", default=".", help="directory for output files")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")

@@ -150,9 +150,8 @@ def _pair_products(evals: list[PacketEval]):
     combinations order (the closed form's summation order), (i, k,
     cross, cphi, sphi) with cross = R_i R_k and cphi, sphi the cosine
     and sine of phi_ik from the carriers' cos and sin.  The evaluations
-    must pass _common_point.
+    must share one (x, t), as open_evals builds them; nothing checks it.
     """
-    _common_point(evals)
     amp = [np.asarray(ev.amplitude, dtype=float) for ev in evals]
 
     def pairs():
@@ -165,20 +164,19 @@ def _pair_products(evals: list[PacketEval]):
     return amp, pairs()
 
 
-def _pairwise(evals: list[PacketEval]):
-    """Pairwise-closed-form (P_tot, J_tot); fixed summation order.
+def _pairwise(evals: list[PacketEval], x):
+    """Pairwise-closed-form (P_tot, J_tot) of evals at x; fixed summation order.
 
-    The evaluations are checked as in _pair_products.  The terms of
-    P_tot are spelled as sorkin.sumrule_report spells them, which keeps
-    its subset intensities bit-identical to this sum.
+    Both start from zeros shaped like x, so no evals sum to zeros.  The
+    terms of P_tot are spelled as sorkin.sumrule_report spells them,
+    which keeps its subset intensities bit-identical to this sum.
     """
     amp, pairs = _pair_products(evals)
     v = [ev.conv_velocity for ev in evals]
     u = [ev.diff_velocity for ev in evals]
 
-    shape = np.broadcast_shapes(*(a.shape for a in amp))
-    p = np.zeros(shape)
-    j = np.zeros(shape)
+    p = np.zeros(np.shape(x))
+    j = np.zeros(np.shape(x))
     for a, vi in zip(amp, v):
         p = p + a * a
         j = j + a * a * vi
@@ -189,11 +187,8 @@ def _pairwise(evals: list[PacketEval]):
 
 
 def intensity(evals: list[PacketEval]) -> np.ndarray:
-    """Total detection intensity P_tot; an empty evaluation list gives 0."""
-    if not evals:
-        return np.zeros(())
-    p, _ = _pairwise(evals)
-    return p
+    """Total detection intensity P_tot; evals are checked as in pairwise_field."""
+    return _pairwise(evals, _common_point(evals)[0])[0]
 
 
 def pairwise_field(
@@ -205,9 +200,10 @@ def pairwise_field(
 
     Matches channels.assemble(build_channels(evals)) to rounding; the
     nodal reference peak is supplied by the caller (1.0 makes the floor
-    absolute) and _guidance applies the rule.
+    absolute) and _guidance applies the rule.  The evals, at least one,
+    must share one (x, t); _common_point checks it.
     """
-    p, j = _pairwise(evals)
+    p, j = _pairwise(evals, _common_point(evals)[0])
     return _guidance(p, j, node_floor, peak, [ev.conv_velocity for ev in evals])
 
 
@@ -245,10 +241,8 @@ def _grid_blocks(params, slits, mask, grid, node_floor):
     blocks = [xs[start:start + _BLOCK] for start in range(0, xs.size, _BLOCK)]
 
     def totals(x):
-        if not mask.open:
-            return [], np.zeros(x.shape), np.zeros(x.shape)
         evals = open_evals(params, slits, mask, x, grid.t)
-        return (evals, *_pairwise(evals))
+        return (evals, *_pairwise(evals, x))
 
     # np.max over the block maxima keeps a NaN wherever it occurs
     peak = float(np.max([np.max(totals(x)[1]) for x in blocks]))

@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ValidationError
-from .field import _BLOCK, GridSpec, SlitMask, _pair_products, intensity, open_evals
+from .field import _BLOCK, GridSpec, SlitMask, _pair_products, _pairwise, open_evals
 from .packet import PhysParams, SlitSpec
 
 __all__ = [
@@ -55,11 +55,8 @@ class SumRuleReport:
 
 
 def subset_intensity(params: PhysParams, slits: list[SlitSpec], subset, x, t: float):
-    """Intensity with only the given slit indices open; empty subset gives 0."""
-    subset = frozenset(int(i) for i in subset)
-    if not subset:
-        return np.zeros(np.asarray(x, dtype=float).shape)
-    return intensity(open_evals(params, slits, SlitMask(subset), x, t))
+    """Intensity at x with only the given slit indices open; the empty subset sums to 0."""
+    return _pairwise(open_evals(params, slits, SlitMask(subset), x, t), x)[0]
 
 
 def _inclusion_exclusion(s: tuple[int, ...], subset_p, shape) -> np.ndarray:

@@ -155,9 +155,12 @@ def _velocity(params, slits, mask, x, t, node_floor):
 
     The nodal reference is the analytic in-phase peak bound at time t;
     nodal entries come back with velocity 0 so positions stay finite,
-    and the flag tells the caller to abort those elements.
+    and the flag tells the caller to abort those elements.  An empty
+    mask is dark, so every entry is nodal.
     """
     evals = open_evals(params, slits, mask, x, t)
+    if not evals:
+        return np.zeros(x.shape), np.ones(x.shape, dtype=bool)
     ref = peak_bound(params, slits, mask, t)
     fs = pairwise_field(evals, node_floor=node_floor, peak=ref)
     v = np.where(fs.nodal, 0.0, fs.v_tot)

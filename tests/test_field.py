@@ -206,9 +206,10 @@ def test_grid_empty_mask_is_dark():
     lit = open_evals(P, SYMMETRIC, SlitMask.all_open(2), grid.points(), grid.t)
     for fs in (pairwise_field(lit, peak=0.0), assemble(build_channels(lit), peak=0.0)):
         assert np.all(fs.p_tot > 0.0) and np.all(fs.nodal) and np.all(np.isnan(fs.v_tot))
-    # pairwise_field has no empty form to compare against
-    with pytest.raises(ValueError, match="at least one"):
-        pairwise_field([])
+    # neither has a point to sum at without an evaluation
+    for fn in (pairwise_field, intensity):
+        with pytest.raises(ValueError, match="at least one"):
+            fn([])
 
 
 @pytest.mark.parametrize(
@@ -265,11 +266,8 @@ LATE_INF = [SlitSpec(center=-5.0), SlitSpec(center=25.0, weight=1e160)]
 def whole_grid_field(params, slits, mask, grid, node_floor=DEFAULT_NODE_FLOOR):
     """field_grid's rule on one whole-grid evaluation: the reference for blocks."""
     xs = grid.points()
-    if mask.open:
-        evals = open_evals(params, slits, mask, xs, grid.t)
-        p, j = _pairwise(evals)
-    else:
-        evals, p, j = [], np.zeros(xs.shape), np.zeros(xs.shape)
+    evals = open_evals(params, slits, mask, xs, grid.t)
+    p, j = _pairwise(evals, xs)
     return _guidance(p, j, node_floor, float(np.max(p)), [ev.conv_velocity for ev in evals])
 
 

@@ -369,6 +369,8 @@ def test_propagate_rejects_coarse_time_step():
     psi0 = psi(P, SlitSpec(center=0.0), xs, 0.0).astype(complex)
     with pytest.raises(ValueError, match="dt"):
         fd_propagate(P, xs, psi0, 2.0, 10)
+    with pytest.raises(ValueError, match="n_steps >= 1"):
+        fd_propagate(P, xs, psi0, 2.0, 0)
 
 
 def test_propagate_detects_boundary_leak_on_entry():

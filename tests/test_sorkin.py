@@ -28,6 +28,9 @@ XS = np.linspace(-10.0, 10.0, 401)
 
 def test_empty_subset_is_dark():
     assert np.all(subset_intensity(P, THREE, (), XS, 2.0) == 0.0)
+    # the inclusion-exclusion term has no order 0
+    with pytest.raises(ValueError, match="at least one slit"):
+        interference_term(P, THREE, (), XS, 2.0)
 
 
 def test_singleton_subset_is_squared_envelope():

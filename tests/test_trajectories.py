@@ -57,6 +57,12 @@ class TestSampling:
         with pytest.raises(DegenerateDensity):
             sample_initial(P, SYMMETRIC, SlitMask([]), 0.5, 10, seed=0)
 
+    def test_zero_draws_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            sample_initial(P, SYMMETRIC, BOTH, 0.5, 0, seed=0)
+        with pytest.raises(ValueError, match="n >= 1"):
+            quantile_initial(P, SYMMETRIC, BOTH, 0.5, 0)
+
     @pytest.mark.parametrize(
         ("params", "slits"),
         [
@@ -175,16 +181,17 @@ def test_streamlines_record_frozen_positions_after_abort():
 
 
 @pytest.mark.parametrize("dt", [None, 0.05], ids=["controlled", "fixed"])
-@pytest.mark.parametrize("n_slits", [1, 2])
+@pytest.mark.parametrize("n_slits", [1, 2, pytest.param(0, id="empty-mask")])
 def test_dark_field_aborts_at_the_start(n_slits, dt):
-    """Open slits of zero weight leave no density to guide: every point
-    is nodal, so a start aborts at sample 0 in both step modes."""
+    """Open slits of zero weight leave no density to guide, and neither
+    does an empty mask over lit slits: every point is nodal, so a start
+    aborts at sample 0 in both step modes."""
     dark = [SlitSpec(center=-1.0, weight=0.0), SlitSpec(center=1.0, weight=0.0)][:n_slits]
-    mask = SlitMask.all_open(n_slits)
-    tr = integrate(P, dark, mask, 0.3, 0.5, 1.5, dt)
+    slits, mask = (dark, SlitMask.all_open(n_slits)) if n_slits else (SYMMETRIC, SlitMask([]))
+    tr = integrate(P, slits, mask, 0.3, 0.5, 1.5, dt)
     assert tr.terminated is Termination.NODAL_ABORT
     assert tr.samples == [(0.5, 0.3)]
-    times, paths, abort_steps = streamlines(P, dark, mask, [-0.4, 0.3], 0.5, 1.5, dt)
+    times, paths, abort_steps = streamlines(P, slits, mask, [-0.4, 0.3], 0.5, 1.5, dt)
     assert times[0] == 0.5
     assert list(abort_steps) == [0, 0]
     assert np.array_equal(paths, np.broadcast_to([-0.4, 0.3], paths.shape))

@@ -69,7 +69,9 @@ CASES = [
         {"slits": [{"center": 0.5}], "trajectories": {"n": 500}},
         ("field", "verify", "trajectories"),
     ),
-    ("empty_mask", {"mask": []}, ("field", "verify")),
+    # dark on the grid; trajectories has no density to sample (exit 4)
+    # and sorkin runs every slit whatever the mask
+    ("empty_mask", {"mask": []}, ("field", "verify", "trajectories", "sorkin")),
     (
         "one_zero_weight",
         {"slits": [{"center": -3.0}, {"center": 3.0, "weight": 0.0}]},
