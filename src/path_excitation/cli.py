@@ -311,18 +311,24 @@ def _write_streamlines(cfg: RunConfig, path: str) -> None:
 
 
 _VALUES = "<values>"  # stands in for an order's values in the encoded layout
-_JSON_BLOCK = 4096  # values encoded by one C-encoder call
+# Values per chunk of sorkin.json: a chunk's table of distinct spellings
+# stays this small however long an order is.
+_JSON_BLOCK = 4096
 
 
 def _write_sorkin(path: str, payload: dict) -> None:
     """Write json.dumps(payload, indent=2) + "\n" for a sorkin payload.
 
-    Each payload["orders"][k]["values"] is a non-empty float array.  The
-    indenting encoder is pure Python, so those arrays go through the C
-    encoder instead, _JSON_BLOCK values per call, with an item separator
-    that lays the items out 8 spaces deep as the indenting encoder does;
-    floats are spelled alike (repr, NaN, Infinity), so the bytes are the
-    same.
+    Each payload["orders"][k]["values"] is a non-empty float64 array.
+    The indenting encoder is pure Python, so those arrays are written
+    _JSON_BLOCK values at a time instead.  A chunk's distinct values,
+    keyed by bit pattern so that 0.0 and -0.0 stay apart, are spelled by
+    one C-encoder call, as the indenting encoder spells them (repr, NaN,
+    Infinity), and the chunk is joined from those spellings with an item
+    separator that lays the items out 8 spaces deep as the indenting
+    encoder does, so the bytes are the same.  Orders 3 and up are the
+    roundoff of sums that vanish identically, so their chunks hold few
+    distinct values.
     """
     orders = payload["orders"]
     layout = {**payload, "orders": [{**o, "values": _VALUES} for o in orders]}
@@ -335,8 +341,11 @@ def _write_sorkin(path: str, payload: dict) -> None:
             values = order["values"]
             fh.write("[" + pad)
             for start in range(0, len(values), _JSON_BLOCK):
-                chunk = values[start:start + _JSON_BLOCK].tolist()
-                fh.write((sep if start else "") + json.dumps(chunk, separators=(sep, ": "))[1:-1])
+                bits, inverse = np.unique(
+                    values[start:start + _JSON_BLOCK].view(np.int64), return_inverse=True
+                )
+                spelled = json.dumps(bits.view(float).tolist())[1:-1].split(", ")
+                fh.write((sep if start else "") + sep.join([spelled[i] for i in inverse.tolist()]))
             fh.write(pad[:-2] + "]" + piece)
         fh.write("\n")
 

@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateDensity
-from .field import DEFAULT_NODE_FLOOR, SlitMask, intensity, open_evals, pairwise_field, peak_bound
+from .field import DEFAULT_NODE_FLOOR, SlitMask, _guidance, _pairwise, open_evals, peak_bound
 from .packet import _WINDOW_WIDTHS, PhysParams, SlitSpec, sigma_t
 
 __all__ = [
@@ -156,13 +156,11 @@ def _velocity(params, slits, mask, x, t, node_floor):
     The nodal reference is the analytic in-phase peak bound at time t;
     nodal entries come back with velocity 0 so positions stay finite,
     and the flag tells the caller to abort those elements.  An empty
-    mask is dark, so every entry is nodal.
+    mask has peak bound 0, so _guidance flags every entry nodal.
     """
     evals = open_evals(params, slits, mask, x, t)
-    if not evals:
-        return np.zeros(x.shape), np.ones(x.shape, dtype=bool)
     ref = peak_bound(params, slits, mask, t)
-    fs = pairwise_field(evals, node_floor=node_floor, peak=ref)
+    fs = _guidance(*_pairwise(evals, x), node_floor, ref, [ev.conv_velocity for ev in evals])
     v = np.where(fs.nodal, 0.0, fs.v_tot)
     return v, fs.nodal
 
@@ -285,7 +283,7 @@ def _tabulated_cdf(params, slits, mask, t0):
     lo = min(centers) - _WINDOW_WIDTHS * width
     hi = max(centers) + _WINDOW_WIDTHS * width
     xs = np.linspace(lo, hi, _SAMPLER_POINTS)
-    p = intensity(open_evals(params, slits, mask, xs, t0))
+    p = _pairwise(open_evals(params, slits, mask, xs, t0), xs)[0]
     dx = xs[1] - xs[0]
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * dx)])
     total = cdf[-1]

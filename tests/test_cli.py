@@ -607,13 +607,47 @@ class TestWriters:
             order["values"] = [float(x) for x in v]
         assert path.read_text() == json.dumps(payload, indent=2) + "\n"
 
+    # Chunk 0: 0.0 beside -0.0, NaN of both signs, repeats, and last the
+    # value that fills chunk 1, so it straddles the boundary; then a
+    # 1-value tail.
+    EDGES = np.concatenate([
+        np.resize(np.array([0.0, *SPECIAL, -np.nan]), cli._JSON_BLOCK - 1),
+        np.full(cli._JSON_BLOCK + 1, 1.0 / 3.0),
+        [-0.0],
+    ])
+
     @pytest.mark.parametrize(
-        "n_values", [cli._JSON_BLOCK, 2 * cli._JSON_BLOCK + 1], ids=["block", "2block+1"]
+        "values",
+        [
+            np.resize(np.array(SPECIAL), cli._JSON_BLOCK),
+            np.resize(np.array(SPECIAL), 2 * cli._JSON_BLOCK + 1),
+            EDGES,
+        ],
+        ids=["block", "2block+1", "edges"],
     )
-    def test_sorkin_json_chunks_match_indenting_encoder(self, tmp_path, n_values):
-        values = np.resize(np.array(self.SPECIAL), n_values)
+    def test_sorkin_json_chunks_match_indenting_encoder(self, tmp_path, values):
         payload = {"scale": 1.0, "orders": [{"order": 2, "values": values}]}
         path = tmp_path / "sorkin.json"
         cli._write_sorkin(str(path), payload)
         payload["orders"][0]["values"] = [float(x) for x in values]
-        assert path.read_text() == json.dumps(payload, indent=2) + "\n"
+        assert path.read_text().split("\n") == (json.dumps(payload, indent=2) + "\n").split("\n")
+
+    def test_sorkin_json_of_a_report_matches_indenting_encoder(self, tmp_path):
+        # Asymmetric slits on a ragged multi-chunk grid: orders 3 and 4
+        # are roundoff, repeated within and across chunks.
+        slits = [
+            SlitSpec(center=-4.5, sigma0=0.8, drift=0.3, weight=1.0, phase0=0.0),
+            SlitSpec(center=-1.0, sigma0=1.1, drift=-0.2, weight=0.7, phase0=0.9),
+            SlitSpec(center=2.0, sigma0=0.9, drift=0.1, weight=1.3, phase0=-2.1),
+            SlitSpec(center=5.5, sigma0=1.2, drift=0.0, weight=0.5, phase0=0.4),
+        ]
+        grid = field.GridSpec(-12.0, 14.0, 2 * cli._JSON_BLOCK + 17, 1.5)
+        reports = sorkin.sumrule_report(PhysParams(), slits, grid)
+        payload = {"scale": reports[0].scale, "orders": [
+            {"order": r.order, "max_abs": r.max_abs, "values": r.values} for r in reports
+        ]}
+        path = tmp_path / "sorkin.json"
+        cli._write_sorkin(str(path), payload)
+        for order in payload["orders"]:
+            order["values"] = order["values"].tolist()
+        assert path.read_text().split("\n") == (json.dumps(payload, indent=2) + "\n").split("\n")
