@@ -259,19 +259,19 @@ def _write(path: str, text: str) -> None:
 _CSV_BLOCK = 1024  # rows formatted by one `%` operation
 
 
-def _write_csv(path: str, header: str, blocks, formats) -> None:
+def _write_csv(path: str, header: str, blocks) -> None:
     """Write blocks of equal-length columns as CSV rows under header.
 
-    Each item of blocks is a list of columns holding the next rows, so a
-    caller can stream rows block by block.  formats[c] is the %-format
-    of column c: "%.17g" (nan and inf spelled nan, inf, -inf) or "%d"
-    for integer columns.  Rows are formatted in runs of _CSV_BLOCK, one
-    `%` per run, and written as they are made.
+    Each item of blocks is a list of array columns holding the next rows,
+    so a caller can stream rows block by block.  Bool and integer columns
+    are written "%d", every other column "%.17g" (nan and inf spelled
+    nan, inf, -inf).  Rows are formatted in runs of _CSV_BLOCK, one `%`
+    per run, and written as they are made.
     """
-    row = ",".join(formats) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for columns in blocks:
+            row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns) + "\n"
             for start in range(0, len(columns[0]), _CSV_BLOCK):
                 block = np.column_stack([c[start:start + _CSV_BLOCK] for c in columns])
                 fh.write((row * len(block)) % tuple(block.ravel().tolist()))
@@ -284,10 +284,7 @@ def _write_histogram(path: str, edges: np.ndarray, counts: np.ndarray) -> None:
     if total > 0:
         live = widths > 0
         density[live] = counts[live] / (total * widths[live])
-    _write_csv(
-        path, "bin_left,bin_right,count,density",
-        [[edges[:-1], edges[1:], counts, density]], ["%.17g", "%.17g", "%d", "%.17g"],
-    )
+    _write_csv(path, "bin_left,bin_right,count,density", [[edges[:-1], edges[1:], counts, density]])
 
 
 def _write_streamlines(cfg: RunConfig, path: str) -> None:
@@ -304,10 +301,7 @@ def _write_streamlines(cfg: RunConfig, path: str) -> None:
     last = np.where(abort_steps >= 0, abort_steps, times.size - 1)
     ids, cols = np.nonzero(keep[None, :] <= last[:, None])
     steps = keep[cols]
-    _write_csv(
-        path, "traj_id,t,x", [[ids, times[steps], paths[steps, ids]]],
-        ["%d", "%.17g", "%.17g"],
-    )
+    _write_csv(path, "traj_id,t,x", [[ids, times[steps], paths[steps, ids]]])
 
 
 _VALUES = "<values>"  # stands in for an order's values in the encoded layout
@@ -353,13 +347,12 @@ def _write_sorkin(path: str, payload: dict) -> None:
 def _run_field(cfg: RunConfig, out_dir: str) -> int:
     n_open = len(cfg.mask.open)
     header = "x,P_tot,J_tot,v_tot,nodal" + "".join(f",R_{k + 1}" for k in range(n_open))
-    formats = ["%.17g"] * 4 + ["%d"] + ["%.17g"] * n_open
     blocks = _grid_blocks(cfg.params, list(cfg.slits), cfg.mask, cfg.grid, cfg.node_floor)
     columns = (
         [x, fs.p_tot, fs.j_tot, fs.v_tot, fs.nodal, *(ev.amplitude for ev in evals)]
         for x, evals, fs in blocks
     )
-    _write_csv(os.path.join(out_dir, "field.csv"), header, columns, formats)
+    _write_csv(os.path.join(out_dir, "field.csv"), header, columns)
     return 0
 
 
@@ -421,14 +414,11 @@ def _run_verify(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _run_packet(cfg: RunConfig, out_dir: str) -> int:
-    open_idx = cfg.mask.indices()
-    slit = cfg.slits[open_idx[0]] if open_idx else cfg.slits[0]
+    slit = (cfg.mask.select(cfg.slits) or cfg.slits)[0]
     ts = np.linspace(0.0, cfg.grid.t, 201)
     sigma = np.array([sigma_t(cfg.params, slit, float(t)) for t in ts])
-    _write_csv(
-        os.path.join(out_dir, "packet.csv"), "t,sigma,variance",
-        [[ts, sigma, sigma * sigma]], ["%.17g"] * 3,
-    )
+    path = os.path.join(out_dir, "packet.csv")
+    _write_csv(path, "t,sigma,variance", [[ts, sigma, sigma * sigma]])
     return 0
 
 

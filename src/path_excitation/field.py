@@ -71,15 +71,17 @@ class SlitMask:
     """Subset of slit indices that are open.
 
     The empty mask is a defined degenerate case: zero intensity
-    everywhere, every point nodal.
+    everywhere, every point nodal.  Indices are whole numbers; a
+    repeated index opens its slit once.
     """
 
     open: frozenset[int]
 
     def __init__(self, open) -> None:
-        object.__setattr__(self, "open", frozenset(int(i) for i in open))
-        if any(i < 0 for i in self.open):
-            raise ValueError("mask indices must be non-negative")
+        open = list(open)
+        if any(int(i) != i or i < 0 for i in open):
+            raise ValueError("mask indices must be non-negative whole numbers")
+        object.__setattr__(self, "open", frozenset(map(int, open)))
 
     @classmethod
     def all_open(cls, n_slits: int) -> "SlitMask":
@@ -88,10 +90,12 @@ class SlitMask:
     def indices(self) -> tuple[int, ...]:
         return tuple(sorted(self.open))
 
-    def check_against(self, n_slits: int) -> None:
+    def select(self, slits: list[SlitSpec]) -> list[SlitSpec]:
+        """The open slits in ascending index order; ValueError if an index is out of range."""
         for i in self.open:
-            if i >= n_slits:
-                raise ValueError(f"mask index {i} out of range for {n_slits} slits")
+            if i >= len(slits):
+                raise ValueError(f"mask index {i} out of range for {len(slits)} slits")
+        return [slits[i] for i in self.indices()]
 
 
 @dataclass(frozen=True)
@@ -139,8 +143,7 @@ def open_evals(
     params: PhysParams, slits: list[SlitSpec], mask: SlitMask, x, t: float
 ) -> list[PacketEval]:
     """Evaluate the open slits at (x, t), in ascending slit order."""
-    mask.check_against(len(slits))
-    return [eval_packet(params, slits[i], x, t) for i in mask.indices()]
+    return [eval_packet(params, s, x, t) for s in mask.select(slits)]
 
 
 def _pair_products(evals: list[PacketEval]):
@@ -168,8 +171,8 @@ def _pairwise(evals: list[PacketEval], x):
     """Pairwise-closed-form (P_tot, J_tot) of evals at x; fixed summation order.
 
     Both start from zeros shaped like x, so no evals sum to zeros.  The
-    terms of P_tot are spelled as sorkin.sumrule_report spells them,
-    which keeps its subset intensities bit-identical to this sum.
+    terms of P_tot are spelled as _subset_table spells them, which keeps
+    its subset intensities bit-identical to this sum.
     """
     amp, pairs = _pair_products(evals)
     v = [ev.conv_velocity for ev in evals]
@@ -184,6 +187,30 @@ def _pairwise(evals: list[PacketEval], x):
         p = p + 2.0 * cross * cphi
         j = j + cross * ((v[i] + v[k]) * cphi + (u[k] - u[i]) * sphi)
     return p, j
+
+
+def _subset_table(evals: list[PacketEval], x) -> dict[tuple[int, ...], np.ndarray]:
+    """P_T at x for every non-empty subset T of evals, keyed by T's ascending positions.
+
+    Entries run by subset size, then in combinations order.  Each square
+    and each pair's fringe term is formed once, spelled as in _pairwise,
+    and P_T sums the terms of T in _pairwise's order (squares, then pairs
+    in combinations order) from zeros shaped like x, so each entry is
+    bit-identical to _pairwise of T's evaluations.
+    """
+    amp, pairs = _pair_products(evals)
+    squares = [a * a for a in amp]
+    fringes = {(i, k): 2.0 * cross * cphi for i, k, cross, cphi, _ in pairs}
+    table = {}
+    for size in range(1, len(evals) + 1):
+        for sub in combinations(range(len(evals)), size):
+            p = np.zeros(np.shape(x))
+            for i in sub:
+                np.add(p, squares[i], out=p)
+            for pair in combinations(sub, 2):
+                np.add(p, fringes[pair], out=p)
+            table[sub] = p
+    return table
 
 
 def intensity(evals: list[PacketEval]) -> np.ndarray:
@@ -214,10 +241,8 @@ def peak_bound(params: PhysParams, slits: list[SlitSpec], mask: SlitMask, t: flo
     the nodal reference when no grid maximum is available, e.g. during
     trajectory integration at arbitrary points.
     """
-    mask.check_against(len(slits))
     total = 0.0
-    for i in mask.indices():
-        s = slits[i]
+    for s in mask.select(slits):
         total += s.weight * (2.0 * np.pi * sigma_t(params, s, t) ** 2) ** -0.25
     return total * total
 

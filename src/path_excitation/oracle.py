@@ -106,8 +106,7 @@ def superpose(
     params: PhysParams, slits: list[SlitSpec], mask: SlitMask, x, t: float
 ) -> Superposition:
     """Superposed amplitude over the open slits, summed in slit order from 0."""
-    mask.check_against(len(slits))
-    psis = tuple(psi(params, slits[i], x, t) for i in mask.indices())
+    psis = tuple(psi(params, s, x, t) for s in mask.select(slits))
     return Superposition(psis=psis, total=sum(psis, np.zeros(np.shape(x), dtype=complex)))
 
 
@@ -121,8 +120,7 @@ def qm_current(params: PhysParams, slits: list[SlitSpec], mask: SlitMask, x, t: 
     _check_time(t)  # superpose evaluates no packet, so checks no t, for an empty mask
     x = np.asarray(x, dtype=float)
     dtotal = np.zeros(x.shape, dtype=complex)
-    for i, ps in zip(mask.indices(), sup.psis):
-        slit = slits[i]
+    for slit, ps in zip(mask.select(slits), sup.psis):
         st = slit.sigma0**2 + 1j * params.diffusion * t
         xi = x - slit.center - slit.drift * t
         factor = -xi / (2.0 * st) + 1j * params.mass * slit.drift / params.hbar
@@ -210,7 +208,7 @@ def fd_propagate(
     check, and there mostly over the few modes that can reach the
     threshold.
 
-    Preconditions: x and psi0 must be finite, the initial edge
+    Preconditions: x, psi0 and t_end must be finite, the initial edge
     amplitudes must be below 1e-10 of the initial peak (the box walls
     would otherwise matter from the start) and dt must not exceed
     dx^2 m / hbar.  After every step s = 1..n_steps the two edge
@@ -230,8 +228,8 @@ def fd_propagate(
     out = np.asarray(psi0, dtype=complex).copy()
     if x.ndim != 1 or x.size < 3 or x.shape != out.shape:
         raise ValueError("x and psi0 must be matching 1-d arrays of size >= 3")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(out))):
-        raise ValueError("x and psi0 must be finite")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(out)) and np.isfinite(t_end)):
+        raise ValueError("x, psi0 and t_end must be finite")
     if n_steps < 1:
         raise ValueError("n_steps >= 1 violated")
     dx = (x[-1] - x[0]) / (x.size - 1)

@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ValidationError
-from .field import _BLOCK, GridSpec, SlitMask, _pair_products, _pairwise, open_evals
+from .field import _BLOCK, GridSpec, SlitMask, _pairwise, _subset_table, open_evals
 from .packet import PhysParams, SlitSpec
 
 __all__ = [
@@ -59,31 +59,33 @@ def subset_intensity(params: PhysParams, slits: list[SlitSpec], subset, x, t: fl
     return _pairwise(open_evals(params, slits, SlitMask(subset), x, t), x)[0]
 
 
-def _inclusion_exclusion(s: tuple[int, ...], subset_p, shape) -> np.ndarray:
+def _inclusion_exclusion(s: tuple[int, ...], table) -> np.ndarray:
     """I_S = sum over non-empty T subseteq S of (-1)^(|S| - |T|) P_T.
 
-    subset_p(T) gives P_T for an ascending index tuple T; terms are
-    summed by subset size, then in combinations order, so the result is
-    bit-identical however P_T is obtained.  Subtracting P_T is adding
-    -P_T exactly, and the sum is formed in place.
+    table maps each ascending index tuple T to P_T, as field._subset_table
+    builds it.  Terms are summed from zeros by subset size, then in
+    combinations order; subtracting P_T is adding -P_T exactly, and the
+    sum is formed in place.
     """
-    total = np.zeros(shape)
+    total = np.zeros(np.shape(table[s[:1]]))
     for size in range(1, len(s) + 1):
         combine = np.subtract if (len(s) - size) % 2 else np.add
         for sub in combinations(s, size):
-            combine(total, subset_p(sub), out=total)
+            combine(total, table[sub], out=total)
     return total
 
 
 def interference_term(params: PhysParams, slits: list[SlitSpec], subset, x, t: float):
-    """Signed inclusion-exclusion term I_S at (x, t)."""
-    s = tuple(sorted(int(i) for i in subset))
-    if len(s) < 1:
+    """Signed inclusion-exclusion term I_S at (x, t) over the set S of slit indices in subset.
+
+    Each slit of S is evaluated once; a repeated index names its slit once, as in a mask.
+    """
+    mask = SlitMask(subset)
+    if not mask.open:
         raise ValueError("subset must contain at least one slit index")
     x = np.asarray(x, dtype=float)
-    return _inclusion_exclusion(
-        s, lambda sub: subset_intensity(params, slits, sub, x, t), x.shape
-    )
+    table = _subset_table(open_evals(params, slits, mask, x, t), x)
+    return _inclusion_exclusion(tuple(range(len(mask.open))), table)
 
 
 def sumrule_report(
@@ -113,36 +115,21 @@ def sumrule_report(
         )
     xs = grid.points()
     step = min(_BLOCK, _TABLE_VALUES >> n)  # >= 8: the budget caps n at 19
-    subsets = [sub for size in range(1, n + 1) for sub in combinations(range(n), size)]
-    peaks = np.full(len(subsets), -np.inf)  # per subset, max P_T so far
+    peaks = np.full(2**n - 1, -np.inf)  # per subset, max P_T so far
     # One block for all orders: freed whole, so it cannot leave freed
     # grid-sized chunks stranded in the heap as n - 1 arrays can.
     values = dict(zip(range(2, n + 1), np.zeros((n - 1, xs.size))))
     for start in range(0, xs.size, step):
         x = xs[start:start + step]
-        # Each slit is evaluated once per block, and each slit's square and
-        # each pair's fringe term are formed once, spelled as in
-        # field._pairwise.  P_T sums the terms of T in _pairwise's order
-        # (squares, then pairs in combinations order), so it is
-        # bit-identical to subset_intensity.
-        amp, pairs = _pair_products(open_evals(params, slits, SlitMask.all_open(n), x, grid.t))
-        squares = [a * a for a in amp]
-        fringes = {(i, k): 2.0 * cross * cphi for i, k, cross, cphi, _ in pairs}
-        cache: dict[tuple[int, ...], np.ndarray] = {}
-        for sub in subsets:
-            p = np.zeros(x.shape)
-            for i in sub:
-                np.add(p, squares[i], out=p)
-            for pair in combinations(sub, 2):
-                np.add(p, fringes[pair], out=p)
-            cache[sub] = p
-        peaks = np.maximum(peaks, [np.max(p) for p in cache.values()])
+        # Each slit is evaluated once per block and each P_T formed once.
+        table = _subset_table(open_evals(params, slits, SlitMask.all_open(n), x, grid.t), x)
+        peaks = np.maximum(peaks, [np.max(p) for p in table.values()])
         for k, v in values.items():
             block = v[start:start + step]
             for s in combinations(range(n), k):
-                term = _inclusion_exclusion(s, cache.__getitem__, x.shape)
+                term = _inclusion_exclusion(s, table)
                 np.maximum(block, np.abs(term, out=term), out=block)
-    # Python max over the subsets in cache order, as over whole-grid runs
+    # Python max over the subsets in table order, as over whole-grid runs
     scale = max(float(p) for p in peaks)
 
     reports = []

@@ -274,12 +274,11 @@ def _tabulated_cdf(params, slits, mask, t0):
     integrate the density.  A total intensity that is not finite, or
     numerically zero, raises DegenerateDensity.
     """
-    mask.check_against(len(slits))
-    idx = mask.indices()
-    if not idx:
+    open_slits = mask.select(slits)
+    if not open_slits:
         raise DegenerateDensity("empty mask carries no intensity to sample")
-    centers = [slits[i].center + slits[i].drift * t0 for i in idx]
-    width = max(sigma_t(params, slits[i], t0) for i in idx)
+    centers = [s.center + s.drift * t0 for s in open_slits]
+    width = max(sigma_t(params, s, t0) for s in open_slits)
     lo = min(centers) - _WINDOW_WIDTHS * width
     hi = max(centers) + _WINDOW_WIDTHS * width
     xs = np.linspace(lo, hi, _SAMPLER_POINTS)

@@ -569,9 +569,7 @@ class TestWriters:
         ints = np.arange(n_rows) % 7
         flags = ints % 2 == 0
         path = tmp_path / "out.csv"
-        cli._write_csv(
-            str(path), "a,b,c,d", [[floats, ints, negated, flags]], ["%.17g", "%d", "%.17g", "%d"]
-        )
+        cli._write_csv(str(path), "a,b,c,d", [[floats, ints, negated, flags]])
         rows = [
             f"{float(a):.17g},{int(b)},{float(c):.17g},{int(d)}"
             for a, b, c, d in zip(floats, ints, negated, flags)
@@ -583,10 +581,10 @@ class TestWriters:
         floats = np.resize(np.array(self.SPECIAL), n_rows)
         flags = np.arange(n_rows) % 3 == 0
         whole, ragged = tmp_path / "whole.csv", tmp_path / "ragged.csv"
-        cli._write_csv(str(whole), "a,b", [[floats, flags]], ["%.17g", "%d"])
+        cli._write_csv(str(whole), "a,b", [[floats, flags]])
         cuts = [0, 1, 1, cli._CSV_BLOCK + 3, 2 * cli._CSV_BLOCK, n_rows]
         blocks = ([floats[a:b], flags[a:b]] for a, b in zip(cuts, cuts[1:]))
-        cli._write_csv(str(ragged), "a,b", blocks, ["%.17g", "%d"])
+        cli._write_csv(str(ragged), "a,b", blocks)
         assert ragged.read_bytes() == whole.read_bytes()
 
     def test_sorkin_json_matches_indenting_encoder(self, tmp_path):

@@ -55,15 +55,27 @@ class TestSlitMask:
 
     def test_out_of_range_detected(self):
         with pytest.raises(ValueError, match="out of range"):
-            SlitMask([3]).check_against(2)
+            SlitMask([3]).select(SYMMETRIC)
+
+    def test_select_is_ascending(self):
+        slits = [SlitSpec(center=float(c)) for c in range(4)]
+        assert SlitMask([3, 0, 2]).select(slits) == [slits[0], slits[2], slits[3]]
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             SlitMask([-1])
 
+    @pytest.mark.parametrize("index", [1.7, 0.5, -0.5])
+    def test_fractional_index_rejected(self, index):
+        with pytest.raises(ValueError, match="whole numbers"):
+            SlitMask([index])
+
+    def test_whole_float_index_accepted(self):
+        assert SlitMask([1.0, 0]).indices() == (0, 1)
+
     def test_empty_mask_is_legal(self):
         m = SlitMask([])
-        m.check_against(5)
+        assert m.select(SYMMETRIC) == []
         assert m.indices() == ()
 
 

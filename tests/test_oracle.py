@@ -324,17 +324,18 @@ def test_criterion_6_leak_check_keeps_few_modes():
     assert kept_amp < (limit - tail) / 2
 
 
-@pytest.mark.parametrize("bad", ["nan_psi0", "inf_psi0", "nan_x"])
+@pytest.mark.parametrize("bad", ["nan_psi0", "inf_psi0", "nan_x", "nan_t_end", "inf_t_end"])
 def test_propagate_rejects_non_finite_inputs(bad):
     xs = _grid(512)
     psi0 = psi(P, SlitSpec(center=0.0), xs, 0.0).astype(complex)
+    t_end = {"nan_t_end": np.nan, "inf_t_end": np.inf}.get(bad, 0.5)
     if bad == "nan_x":
         xs[200] = np.nan
-    else:
+    elif bad.endswith("psi0"):
         psi0[200] = np.nan if bad == "nan_psi0" else np.inf
     dx = xs[-1] - xs[-2]
     with pytest.raises(ValueError, match="finite"):
-        fd_propagate(P, xs, psi0, 0.5, int(np.ceil(0.5 / dx**2)))
+        fd_propagate(P, xs, psi0, t_end, int(np.ceil(0.5 / dx**2)))
 
 
 def test_propagate_zero_profile_stays_zero():

@@ -6,10 +6,12 @@ sum over beams.
 """
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from path_excitation import field
 from path_excitation.channels import build_channels, project
 from path_excitation.errors import ValidationError
 from path_excitation.field import GridSpec, SlitMask, intensity, open_evals
@@ -48,6 +50,19 @@ def test_pair_subset_matches_two_beam_intensity():
 def test_order_one_term_recovers_single_intensity():
     term = interference_term(P, THREE, (0,), XS, 2.0)
     assert np.array_equal(term, subset_intensity(P, THREE, (0,), XS, 2.0))
+
+
+def test_repeated_index_names_its_slit_once():
+    """A subset is a set, as a mask is: (0, 0) is S = {0}, so I_S = P_0."""
+    term = interference_term(P, THREE, (0, 0), XS, 2.0)
+    assert np.array_equal(term, subset_intensity(P, THREE, (0,), XS, 2.0))
+
+
+def test_term_evaluates_each_slit_once():
+    slits = [SlitSpec(center=c) for c in (-10.0, -6.0, -2.0, 2.0, 6.0, 10.0)]
+    with mock.patch.object(field, "eval_packet", wraps=eval_packet) as spy:
+        interference_term(P, slits, range(6), XS, 2.0)
+    assert [c.args[1] for c in spy.call_args_list] == slits
 
 
 def test_order_two_term_equals_fringe_closed_form():
@@ -115,28 +130,13 @@ GRID6 = GridSpec(-40.0, 40.0, 2001, 3.0)
 )
 def test_report_is_subset_inclusion_exclusion_bit_for_bit(slits, grid):
     """One evaluation per slit gives exactly the per-subset reruns."""
-    n = len(slits)
-    xs = grid.points()
-    runs = {
-        sub: subset_intensity(P, slits, sub, xs, grid.t)
-        for size in range(1, n + 1)
-        for sub in combinations(range(n), size)
-    }
-    scale = max(float(np.max(p)) for p in runs.values())
     reports = sumrule_report(P, slits, grid)
-    assert [r.order for r in reports] == list(range(2, n + 1))
-    for r in reports:
-        values = np.zeros(xs.shape)
-        for s in combinations(range(n), r.order):
-            term = np.zeros(xs.shape)
-            for size in range(1, r.order + 1):
-                sign = -1.0 if (r.order - size) % 2 else 1.0
-                for sub in combinations(s, size):
-                    term = term + sign * runs[sub]
-            values = np.maximum(values, np.abs(term))
+    assert [r.order for r in reports] == list(range(2, len(slits) + 1))
+    ref = whole_grid_reports(slits, grid)
+    for r, (_, values, max_abs, scale) in zip(reports, ref, strict=True):
         assert np.array_equal(r.values, values, equal_nan=True)
         assert r.scale == scale
-        assert r.max_abs == float(np.max(values))
+        assert r.max_abs == max_abs
         assert r.normalized_max == r.max_abs / scale
 
 

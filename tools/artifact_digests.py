@@ -13,7 +13,8 @@ followed by the exit status and, when the process wrote one, the JSON
 error line from stderr (other stderr output, such as numpy warnings, is
 left out).  Run it on two checkouts and diff the outputs
 to confirm that a change leaves every artifact, exit code and error
-message byte-identical.
+message byte-identical.  tests/test_artifact_digests.py runs the same
+CASES in-process against the recorded tests/artifact_digests.txt.
 """
 
 from __future__ import annotations
@@ -190,6 +191,18 @@ CASES = [
 ]
 
 
+def digest_lines(label: str, sub: str, out: Path, code: int, stderr: str) -> list[str]:
+    """The output lines of one run: its artifacts in out, its exit status and error line."""
+    lines = []
+    for f in sorted(out.iterdir()) if out.is_dir() else ():
+        digest = hashlib.sha256(f.read_bytes()).hexdigest()
+        lines.append(f"{digest}  {label}/{sub}/{f.name}")
+    lines.append(f"exit {code}  {label}/{sub}")
+    # Only the CLI's JSON error line: warnings name source paths and lines.
+    lines += [f"stderr {err}  {label}/{sub}" for err in stderr.splitlines() if err.startswith("{")]
+    return lines
+
+
 def run_case(src: Path, label: str, config: dict, sub: str) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "config.json"
@@ -201,18 +214,7 @@ def run_case(src: Path, label: str, config: dict, sub: str) -> list[str]:
              "--config", str(cfg_path), "--out-dir", str(out)],
             env=env, capture_output=True, text=True,
         )
-        lines = []
-        for f in sorted(out.iterdir()) if out.is_dir() else ():
-            digest = hashlib.sha256(f.read_bytes()).hexdigest()
-            lines.append(f"{digest}  {label}/{sub}/{f.name}")
-        lines.append(f"exit {proc.returncode}  {label}/{sub}")
-        # Only the CLI's JSON error line: warnings name source paths and lines.
-        lines += [
-            f"stderr {err}  {label}/{sub}"
-            for err in proc.stderr.splitlines()
-            if err.startswith("{")
-        ]
-        return lines
+        return digest_lines(label, sub, out, proc.returncode, proc.stderr)
 
 
 def main(argv=None) -> int:
