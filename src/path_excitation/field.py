@@ -71,15 +71,15 @@ class SlitMask:
     """Subset of slit indices that are open.
 
     The empty mask is a defined degenerate case: zero intensity
-    everywhere, every point nodal.  Indices are whole numbers; a
-    repeated index opens its slit once.
+    everywhere, every point nodal.  Indices are whole numbers (a bool
+    is not one); a repeated index opens its slit once.
     """
 
     open: frozenset[int]
 
     def __init__(self, open) -> None:
         open = list(open)
-        if any(int(i) != i or i < 0 for i in open):
+        if any(isinstance(i, (bool, np.bool_)) or int(i) != i or i < 0 for i in open):
             raise ValueError("mask indices must be non-negative whole numbers")
         object.__setattr__(self, "open", frozenset(map(int, open)))
 

@@ -208,7 +208,8 @@ def fd_propagate(
     check, and there mostly over the few modes that can reach the
     threshold.
 
-    Preconditions: x, psi0 and t_end must be finite, the initial edge
+    Preconditions: x, psi0 and t_end must be finite, n_steps an int or
+    NumPy integer (not a bool) of at least 1, the initial edge
     amplitudes must be below 1e-10 of the initial peak (the box walls
     would otherwise matter from the start) and dt must not exceed
     dx^2 m / hbar.  After every step s = 1..n_steps the two edge
@@ -230,6 +231,8 @@ def fd_propagate(
         raise ValueError("x and psi0 must be matching 1-d arrays of size >= 3")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(out)) and np.isfinite(t_end)):
         raise ValueError("x, psi0 and t_end must be finite")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
+        raise ValueError("n_steps must be an integer")
     if n_steps < 1:
         raise ValueError("n_steps >= 1 violated")
     dx = (x[-1] - x[0]) / (x.size - 1)

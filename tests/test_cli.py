@@ -1,7 +1,11 @@
 """Config parsing, subcommand dispatch, artifacts, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +339,30 @@ class TestPacketCommand:
         tN = rows[-1].split(",")
         assert float(tN[0]) == 2.0
         assert float(tN[1]) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+
+def _artifacts(out_dir):
+    return {f.name: f.read_bytes() for f in out_dir.iterdir()} if out_dir.is_dir() else {}
+
+
+@pytest.mark.parametrize(
+    "config, status, files",
+    [({}, 0, {"config_echo.json", "packet.csv"}), ({"hbar": True}, 2, set())],
+)
+def test_module_entry_point_matches_main(tmp_path, capsys, config, status, files):
+    """`python -m path_excitation.cli` exits, writes and reports as main does in-process."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    args = ["packet", "--config", str(cfg_path), "--out-dir"]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "path_excitation.cli", *args, str(tmp_path / "module")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert main([*args, str(tmp_path / "main")]) == proc.returncode == status
+    assert proc.stderr == capsys.readouterr().err
+    assert set(_artifacts(tmp_path / "module")) == files
+    assert _artifacts(tmp_path / "module") == _artifacts(tmp_path / "main")
 
 
 class TestExitCodes:

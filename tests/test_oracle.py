@@ -372,6 +372,11 @@ def test_propagate_rejects_coarse_time_step():
         fd_propagate(P, xs, psi0, 2.0, 10)
     with pytest.raises(ValueError, match="n_steps >= 1"):
         fd_propagate(P, xs, psi0, 2.0, 0)
+    for n_steps in (300.0, 300.5, True, np.True_):
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            fd_propagate(P, xs, psi0, 0.5, n_steps)
+    assert np.array_equal(fd_propagate(P, xs, psi0, 0.5, np.int64(300)),
+                          fd_propagate(P, xs, psi0, 0.5, 300))
 
 
 def test_propagate_detects_boundary_leak_on_entry():

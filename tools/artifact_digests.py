@@ -1,32 +1,37 @@
 """Print sha256 digests of every CLI artifact over a fixed set of configs.
 
-    python3 tools/artifact_digests.py [--src DIR]
+    PYTHONPATH=src python tools/artifact_digests.py
+    PYTHONPATH=<parent>/src python tools/artifact_digests.py
 
-Each (config, subcommand) pair runs as its own CLI process in a fresh
-temporary directory, importing the package from DIR (default: the
-`src` directory next to this script).  For every artifact the output
-holds one line
+Each (config, subcommand) pair runs in-process through the CLI's `main`,
+in a fresh temporary directory, with the path_excitation package found
+on PYTHONPATH; the tool writes that package's directory to stderr, so a
+comparison shows which tree ran.  For every artifact the output holds
+one line
 
     <sha256>  <config>/<subcommand>/<file>
 
-followed by the exit status and, when the process wrote one, the JSON
-error line from stderr (other stderr output, such as numpy warnings, is
-left out).  Run it on two checkouts and diff the outputs
-to confirm that a change leaves every artifact, exit code and error
-message byte-identical.  tests/test_artifact_digests.py runs the same
-CASES in-process against the recorded tests/artifact_digests.txt.
+followed by the exit status and, when the run wrote one, the JSON error
+line from stderr (other stderr output, such as numpy warnings, is left
+out).  Run it with this tree's src and with its parent's and diff the
+outputs to confirm that a change leaves every artifact, exit code and
+error message byte-identical.  tests/test_artifact_digests.py compares
+current_lines() with the recorded tests/artifact_digests.txt.
 """
 
 from __future__ import annotations
 
-import argparse
+import contextlib
 import hashlib
+import io
 import json
-import os
-import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
+
+import path_excitation
+from path_excitation.cli import main
 
 ALL = ("field", "verify", "sorkin", "trajectories", "packet")
 
@@ -203,32 +208,23 @@ def digest_lines(label: str, sub: str, out: Path, code: int, stderr: str) -> lis
     return lines
 
 
-def run_case(src: Path, label: str, config: dict, sub: str) -> list[str]:
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg_path = Path(tmp) / "config.json"
-        cfg_path.write_text(json.dumps(config))
-        out = Path(tmp) / "out"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run(
-            [sys.executable, "-m", "path_excitation.cli", sub,
-             "--config", str(cfg_path), "--out-dir", str(out)],
-            env=env, capture_output=True, text=True,
-        )
-        return digest_lines(label, sub, out, proc.returncode, proc.stderr)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument(
-        "--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
-        help="directory holding the path_excitation package",
-    )
-    args = parser.parse_args(argv)
+def current_lines() -> list[str]:
+    """The output lines of every case, each run in-process in a fresh directory."""
+    lines = []
     for label, config, subs in CASES:
         for sub in subs:
-            print("\n".join(run_case(args.src.resolve(), label, config, sub)), flush=True)
-    return 0
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg_path = Path(tmp) / "config.json"
+                cfg_path.write_text(json.dumps(config))
+                out = Path(tmp) / "out"
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    code = main([sub, "--config", str(cfg_path), "--out-dir", str(out)])
+                lines += digest_lines(label, sub, out, code, err.getvalue())
+    return lines
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    print(f"path_excitation from {Path(path_excitation.__file__).parent}", file=sys.stderr)
+    print("\n".join(current_lines()))
