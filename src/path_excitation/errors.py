@@ -2,7 +2,7 @@
 
 
 class NegativeTime(ValueError):
-    """Raised when an evaluation time lies before the packet release at t = 0."""
+    """Raised when an evaluation time is NaN or lies before the packet release at t = 0."""
 
 
 class MismatchedPoint(ValueError):

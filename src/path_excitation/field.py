@@ -79,7 +79,13 @@ class SlitMask:
 
     def __init__(self, open) -> None:
         open = list(open)
-        if any(isinstance(i, (bool, np.bool_)) or int(i) != i or i < 0 for i in open):
+        try:  # int() raises on None, inf and nan
+            whole = all(
+                not isinstance(i, (bool, np.bool_)) and int(i) == i and i >= 0 for i in open
+            )
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
             raise ValueError("mask indices must be non-negative whole numbers")
         object.__setattr__(self, "open", frozenset(map(int, open)))
 

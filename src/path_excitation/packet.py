@@ -100,8 +100,8 @@ class PacketEval:
 
 def _check_time(t: float) -> float:
     t = float(t)
-    if t < 0.0:
-        raise NegativeTime(f"t = {t} lies before the release time 0")
+    if not t >= 0.0:  # NaN too
+        raise NegativeTime(f"t = {t} is not at or after the release time 0")
     return t
 
 

@@ -129,22 +129,26 @@ def _time_steps(t0: float, t1: float, dt: float) -> np.ndarray:
 
 
 def _resolve_dt(t0, t1, dt, number=float, error=ValueError) -> float | None:
-    """Check the window t1 > t0 >= 0, then an explicit dt.
+    """Check the window t1 > t0 >= 0 with t1 finite, then an explicit dt.
 
     dt=None passes through and selects error-controlled stepping.  An
-    explicit dt must be positive and take at most _MAX_STEPS steps, so
-    no record buffer is sized from an unbounded step count.  number
-    converts an explicit dt and error is raised for a violated
+    explicit dt must be positive, finite and take at most _MAX_STEPS
+    steps, so no record buffer is sized from an unbounded step count.
+    number converts an explicit dt and error is raised for a violated
     invariant, so a config parser can keep its own error types while
     the window is still checked before dt is even read.
     """
     if not (t1 > t0 >= 0.0):
         raise error("t1 > t0 >= 0 violated")
+    if t1 == np.inf:
+        raise error("t1 is not finite")
     if dt is None:
         return None
     dt = number(dt)
     if not dt > 0.0:
         raise error("dt > 0 violated")
+    if dt == np.inf:
+        raise error("dt is not finite")
     if (t1 - t0) / dt > _MAX_STEPS:
         raise error(f"dt = {dt!r} needs more than {_MAX_STEPS} steps over t1 - t0 = {t1 - t0!r}")
     return dt
@@ -293,6 +297,14 @@ def _tabulated_cdf(params, slits, mask, t0):
     return xs, cdf / total
 
 
+def _check_count(n) -> None:
+    """A start count is an int or NumPy integer (not a bool), at least 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError("n must be an integer")
+    if n < 1:
+        raise ValueError("n >= 1 violated")
+
+
 def sample_initial(
     params: PhysParams,
     slits: list[SlitSpec],
@@ -307,8 +319,7 @@ def sample_initial(
     from a seeded generator.  Output order is draw order, so sample i
     depends only on (seed, i).
     """
-    if n < 1:
-        raise ValueError("n >= 1 violated")
+    _check_count(n)
     xs, cdf = _tabulated_cdf(params, slits, mask, t0)
     u = np.random.default_rng(seed).random(n)
     return np.interp(u, cdf, xs)
@@ -327,8 +338,7 @@ def quantile_initial(
     small n spreads representative streamlines across the ensemble
     without any randomness.
     """
-    if n < 1:
-        raise ValueError("n >= 1 violated")
+    _check_count(n)
     xs, cdf = _tabulated_cdf(params, slits, mask, t0)
     u = (np.arange(n) + 0.5) / n
     return np.interp(u, cdf, xs)

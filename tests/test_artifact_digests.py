@@ -8,21 +8,17 @@ it was written on, and a mismatch fails rather than passing unchecked.
 To rewrite the file, after checking that every line that moves is meant
 to, run
 
-    PYTHONPATH=src python tests/test_artifact_digests.py
+    PYTHONPATH=src:tools python tests/test_artifact_digests.py
 """
 
-import importlib.util
 import platform
 from pathlib import Path
 
+import artifact_digests as digests
 import numpy as np
 import pytest
 
 GOLDEN = Path(__file__).with_name("artifact_digests.txt")
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "artifact_digests.py"
-_spec = importlib.util.spec_from_file_location("artifact_digests", _TOOL)
-digests = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(digests)
 
 
 def host_header() -> list[str]:
@@ -38,7 +34,7 @@ def test_artifacts_match_the_recorded_digests():
             " Run `PYTHONPATH=<parent>/src python tools/artifact_digests.py` and"
             " `PYTHONPATH=src python tools/artifact_digests.py` here, <parent> being"
             " a checkout of this tree's parent; if their outputs agree, rewrite the"
-            " file with `PYTHONPATH=src python tests/test_artifact_digests.py`.",
+            " file with `PYTHONPATH=src:tools python tests/test_artifact_digests.py`.",
             pytrace=False,
         )
     assert digests.current_lines() == recorded[len(header):]

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from artifact_digests import run
 
 from path_excitation import cli, field, sorkin, trajectories
 from path_excitation.cli import echo_config, main, parse_config, run_subcommand
@@ -110,11 +111,8 @@ class TestParseConfig:
 
 class TestFieldCommand:
     def test_writes_grid_csv_and_echo(self, tmp_path):
-        cfg = json.dumps({"grid": {"xmin": -5.0, "xmax": 5.0, "n": 21, "t": 1.0}})
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(cfg)
         out = tmp_path / "out"
-        status = main(["field", "--config", str(cfg_path), "--out-dir", str(out)])
+        status, _ = run("field", {"grid": {"xmin": -5.0, "xmax": 5.0, "n": 21, "t": 1.0}}, out)
         assert status == 0
         rows = lines_of(out / "field.csv")
         assert rows[0] == "x,P_tot,J_tot,v_tot,nodal,R_1,R_2"
@@ -125,18 +123,16 @@ class TestFieldCommand:
         assert echoed.grid.n_points == 21
 
     def test_runs_are_byte_identical(self, tmp_path):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"grid": {"xmin": -5.0, "xmax": 5.0, "n": 51, "t": 1.3}}))
+        config = {"grid": {"xmin": -5.0, "xmax": 5.0, "n": 51, "t": 1.3}}
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["field", "--config", str(cfg_path), "--out-dir", str(a)]) == 0
-        assert main(["field", "--config", str(cfg_path), "--out-dir", str(b)]) == 0
+        assert run("field", config, a)[0] == 0
+        assert run("field", config, b)[0] == 0
         assert (a / "field.csv").read_bytes() == (b / "field.csv").read_bytes()
 
     def test_empty_mask_yields_dark_grid(self, tmp_path):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"mask": [], "grid": {"xmin": -2.0, "xmax": 2.0, "n": 9, "t": 0.5}}))
+        config = {"mask": [], "grid": {"xmin": -2.0, "xmax": 2.0, "n": 9, "t": 0.5}}
         out = tmp_path / "out"
-        assert main(["field", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        assert run("field", config, out)[0] == 0
         rows = lines_of(out / "field.csv")
         assert rows[0] == "x,P_tot,J_tot,v_tot,nodal"
         for row in rows[1:]:
@@ -144,7 +140,7 @@ class TestFieldCommand:
             assert float(cells[1]) == 0.0
             assert cells[4] == "1"
         # verify compares that same dark field: every point nodal, no deviation
-        assert main(["verify", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        assert run("verify", config, out)[0] == 0
         payload = json.loads(read(out / "verify.json"))
         assert payload["n_nodal"] == 9
         assert payload["max_abs_dev_p"] == payload["max_abs_dev_j"] == 0.0
@@ -178,10 +174,9 @@ class TestVerifyCommand:
         ids=["six-slit-fine-grid", "eight-slit"],
     )
     def test_zero_crossing_velocity_passes(self, tmp_path, config):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main(["verify", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
-        assert json.loads(read(tmp_path / "verify.json"))["max_rel_dev_v"] <= 1e-10
+        out = tmp_path / "out"
+        assert run("verify", config, out)[0] == 0
+        assert json.loads(read(out / "verify.json"))["max_rel_dev_v"] <= 1e-10
 
     def test_flipped_diffusive_cross_term_fails(self, tmp_path, monkeypatch):
         # u enters the pairwise field only through the (u_k - u_i) cross
@@ -198,18 +193,14 @@ class TestVerifyCommand:
 
 class TestSorkinCommand:
     def test_three_slit_hierarchy_passes(self, tmp_path):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(
-            json.dumps(
-                {
-                    "slits": [{"center": -6.0}, {"center": 0.0}, {"center": 6.0}],
-                    "grid": {"xmin": -18.0, "xmax": 18.0, "n": 1201, "t": 2.0},
-                }
-            )
-        )
-        status = main(["sorkin", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        config = {
+            "slits": [{"center": -6.0}, {"center": 0.0}, {"center": 6.0}],
+            "grid": {"xmin": -18.0, "xmax": 18.0, "n": 1201, "t": 2.0},
+        }
+        out = tmp_path / "out"
+        status, _ = run("sorkin", config, out)
         assert status == 0
-        payload = json.loads(read(tmp_path / "sorkin.json"))
+        payload = json.loads(read(out / "sorkin.json"))
         assert payload["passed"] is True
         assert payload["first_order_violation"] is True
         orders = {o["order"]: o for o in payload["orders"]}
@@ -220,56 +211,44 @@ class TestSorkinCommand:
     def test_dead_fringe_returns_tolerance_failure(self, tmp_path):
         # beams too far apart to interfere: the order-2 term is
         # numerically zero, which the report must flag, not hide
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(
-            json.dumps(
-                {
-                    "slits": [{"center": -30.0}, {"center": 30.0}],
-                    "grid": {"xmin": -35.0, "xmax": 35.0, "n": 301, "t": 0.1},
-                }
-            )
-        )
-        status = main(["sorkin", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        config = {
+            "slits": [{"center": -30.0}, {"center": 30.0}],
+            "grid": {"xmin": -35.0, "xmax": 35.0, "n": 301, "t": 0.1},
+        }
+        out = tmp_path / "out"
+        status, _ = run("sorkin", config, out)
         assert status == 3
-        payload = json.loads(read(tmp_path / "sorkin.json"))
+        payload = json.loads(read(out / "sorkin.json"))
         assert payload["passed"] is False
         assert payload["first_order_violation"] is False
 
     def test_mask_is_ignored(self, tmp_path):
         # the hierarchy opens every subset of the configured slits itself
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"mask": [0]}))
         masked, full = tmp_path / "masked", tmp_path / "full"
-        assert main(["sorkin", "--config", str(cfg_path), "--out-dir", str(masked)]) == 0
+        assert run("sorkin", {"mask": [0]}, masked)[0] == 0
         assert main(["sorkin", "--out-dir", str(full)]) == 0
         assert (masked / "sorkin.json").read_bytes() == (full / "sorkin.json").read_bytes()
 
-    def test_single_slit_is_invalid(self, tmp_path, capsys):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"slits": [{"center": 0.0}]}))
-        status = main(["sorkin", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+    def test_single_slit_is_invalid(self, tmp_path):
+        status, err = run("sorkin", {"slits": [{"center": 0.0}]}, tmp_path / "out")
         assert status == 2
-        err = json.loads(capsys.readouterr().err)
+        err = json.loads(err)
         assert err["error"] == "ValidationError"
         assert err["message"] == "sorkin requires at least two slits"
 
-    def test_work_budget_rejects_before_evaluating(self, tmp_path, capsys, monkeypatch):
+    def test_work_budget_rejects_before_evaluating(self, tmp_path, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("an over-budget config reached the evaluation")
 
         monkeypatch.setattr(sorkin, "open_evals", never)
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(
-            json.dumps(
-                {"slits": [{"center": 4.0 * k} for k in range(13)], "grid": {"n": 3764}}
-            )
-        )
-        status = main(["sorkin", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        config = {"slits": [{"center": 4.0 * k} for k in range(13)], "grid": {"n": 3764}}
+        out = tmp_path / "out"
+        status, err = run("sorkin", config, out)
         assert status == 2
-        err = json.loads(capsys.readouterr().err)
+        err = json.loads(err)
         assert err["error"] == "ValidationError"
         assert err["message"].startswith("slits: 13 slits on 3764 grid points")
-        assert not (tmp_path / "sorkin.json").exists()
+        assert not (out / "sorkin.json").exists()
 
     def test_work_budget_admits_twelve_slits_on_10001_points(self, monkeypatch):
         class Reached(Exception):
@@ -292,10 +271,8 @@ SMALL_TRAJ = {
 
 class TestTrajectoriesCommand:
     def test_writes_histogram_and_streamlines(self, tmp_path):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(SMALL_TRAJ))
         out = tmp_path / "out"
-        assert main(["trajectories", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        assert run("trajectories", SMALL_TRAJ, out)[0] == 0
 
         hist = lines_of(out / "histogram.csv")
         assert hist[0] == "bin_left,bin_right,count,density"
@@ -316,12 +293,12 @@ class TestTrajectoriesCommand:
         assert t_first[-1] == 1.0
 
     def test_seed_override_changes_histogram(self, tmp_path):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(SMALL_TRAJ))
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-        main(["trajectories", "--config", str(cfg_path), "--out-dir", str(a)])
-        main(["trajectories", "--config", str(cfg_path), "--out-dir", str(b)])
-        main(["trajectories", "--config", str(cfg_path), "--out-dir", str(c), "--seed", "99"])
+        run("trajectories", SMALL_TRAJ, a)
+        run("trajectories", SMALL_TRAJ, b)
+        # the config run wrote beside a, with the seed overridden
+        main(["trajectories", "--config", str(tmp_path / "a.json"), "--out-dir", str(c),
+              "--seed", "99"])
         assert (a / "histogram.csv").read_bytes() == (b / "histogram.csv").read_bytes()
         assert (a / "histogram.csv").read_bytes() != (c / "histogram.csv").read_bytes()
         echoed = parse_config(read(c / "config_echo.json"))
@@ -349,18 +326,17 @@ def _artifacts(out_dir):
     "config, status, files",
     [({}, 0, {"config_echo.json", "packet.csv"}), ({"hbar": True}, 2, set())],
 )
-def test_module_entry_point_matches_main(tmp_path, capsys, config, status, files):
+def test_module_entry_point_matches_main(tmp_path, config, status, files):
     """`python -m path_excitation.cli` exits, writes and reports as main does in-process."""
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(config))
-    args = ["packet", "--config", str(cfg_path), "--out-dir"]
+    code, err = run("packet", config, tmp_path / "main")
+    args = ["--config", str(tmp_path / "main.json"), "--out-dir", str(tmp_path / "module")]
     src = str(Path(cli.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-m", "path_excitation.cli", *args, str(tmp_path / "module")],
+        [sys.executable, "-m", "path_excitation.cli", "packet", *args],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
-    assert main([*args, str(tmp_path / "main")]) == proc.returncode == status
-    assert proc.stderr == capsys.readouterr().err
+    assert code == proc.returncode == status
+    assert proc.stderr == err
     assert set(_artifacts(tmp_path / "module")) == files
     assert _artifacts(tmp_path / "module") == _artifacts(tmp_path / "main")
 
@@ -373,26 +349,17 @@ class TestExitCodes:
         assert err["error"] == "ParseError"
         assert "cannot read config" in err["message"]
 
-    def test_unknown_key_is_validation_exit(self, tmp_path, capsys):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text('{"wat": 1}')
-        assert main(["field", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+    def test_unknown_key_is_validation_exit(self, tmp_path):
+        status, err = run("field", '{"wat": 1}', tmp_path / "out")
+        assert status == 2
+        assert json.loads(err)["error"] == "ParseError"
 
-    def test_runtime_error_exit(self, tmp_path, capsys):
+    def test_runtime_error_exit(self, tmp_path):
         # dark ensemble: sampling has no density to invert
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(
-            json.dumps(
-                {
-                    "slits": [{"center": 0.0, "weight": 0.0}],
-                    "trajectories": {"n": 10, "dt": 0.1},
-                }
-            )
-        )
-        status = main(["trajectories", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        config = {"slits": [{"center": 0.0, "weight": 0.0}], "trajectories": {"n": 10, "dt": 0.1}}
+        status, err = run("trajectories", config, tmp_path / "out")
         assert status == 4
-        assert json.loads(capsys.readouterr().err)["error"] == "DegenerateDensity"
+        assert json.loads(err)["error"] == "DegenerateDensity"
 
     @pytest.mark.parametrize(
         ("config", "message"),
@@ -409,75 +376,69 @@ class TestExitCodes:
         ],
         ids=["huge_hbar", "huge_sigma0", "tiny_sigma0"],
     )
-    def test_non_finite_sampler_intensity_is_degenerate(self, tmp_path, capsys, config, message):
+    def test_non_finite_sampler_intensity_is_degenerate(self, tmp_path, config, message):
         # finite numbers whose t0 intensity would be NaN on the sampler grid:
         # the domain check rejects them at parse time, before the sampler
         # (test_trajectories covers the sampler's own DegenerateDensity)
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({**config, "trajectories": {"n": 50}}))
-        status = main(["trajectories", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        out = tmp_path / "out"
+        status, err = run("trajectories", {**config, "trajectories": {"n": 50}}, out)
         assert status == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "ValidationError", "message": message}
-        assert list(tmp_path.iterdir()) == [cfg_path]
+        assert json.loads(err) == {"error": "ValidationError", "message": message}
+        assert _artifacts(out) == {}
 
-    def test_trajectory_count_cap_exits_before_allocating(self, tmp_path, capsys, monkeypatch):
+    def test_trajectory_count_cap_exits_before_allocating(self, tmp_path, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("a capped trajectories.n reached the ensemble")
 
         monkeypatch.setattr(cli, "ensemble", never)
         cap = trajectories._MAX_TRAJECTORIES
         assert parse_config(json.dumps({"trajectories": {"n": cap}})).n == cap
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"trajectories": {"n": cap + 1}}))
-        status = main(["trajectories", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        out = tmp_path / "out"
+        status, err = run("trajectories", {"trajectories": {"n": cap + 1}}, out)
         assert status == 2
-        err = json.loads(capsys.readouterr().err)
+        err = json.loads(err)
         assert err["error"] == "ValidationError"
         assert err["message"] == f"trajectories.n = {cap + 1} exceeds the cap of {cap}"
-        assert not (tmp_path / "histogram.csv").exists()
+        assert not (out / "histogram.csv").exists()
 
-    def test_bin_cap_exits_before_allocating(self, tmp_path, capsys, monkeypatch):
+    def test_bin_cap_exits_before_allocating(self, tmp_path, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("a capped trajectories.bins reached the histogram")
 
         monkeypatch.setattr(cli, "ensemble", never)
         cap = cli._MAX_BINS
         assert parse_config(json.dumps({"trajectories": {"bins": cap}})).bins == cap
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"trajectories": {"bins": cap + 1}}))
-        status = main(["trajectories", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        out = tmp_path / "out"
+        status, err = run("trajectories", {"trajectories": {"bins": cap + 1}}, out)
         assert status == 2
-        err = json.loads(capsys.readouterr().err)
+        err = json.loads(err)
         assert err["error"] == "ValidationError"
         assert err["message"] == f"trajectories.bins = {cap + 1} exceeds the cap of {cap}"
-        assert not (tmp_path / "histogram.csv").exists()
+        assert not (out / "histogram.csv").exists()
 
-    def test_grid_point_cap_exits_before_allocating(self, tmp_path, capsys, monkeypatch):
+    def test_grid_point_cap_exits_before_allocating(self, tmp_path, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("a capped grid.n reached the grid")
 
         monkeypatch.setattr(field.GridSpec, "points", never)
         cap = cli._MAX_GRID_POINTS
         assert parse_config(json.dumps({"grid": {"n": cap}})).grid.n_points == cap
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"grid": {"n": cap + 1}}))
-        status = main(["field", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        out = tmp_path / "out"
+        status, err = run("field", {"grid": {"n": cap + 1}}, out)
         assert status == 2
-        err = json.loads(capsys.readouterr().err)
+        err = json.loads(err)
         assert err["error"] == "ValidationError"
         assert err["message"] == f"grid.n = {cap + 1} exceeds the cap of {cap}"
-        assert not (tmp_path / "field.csv").exists()
+        assert not (out / "field.csv").exists()
 
-    def test_tiny_dt_is_validation_exit(self, tmp_path, capsys):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"trajectories": {"n": 10, "dt": 1e-9}}))
-        status = main(["trajectories", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+    def test_tiny_dt_is_validation_exit(self, tmp_path):
+        out = tmp_path / "out"
+        status, err = run("trajectories", {"trajectories": {"n": 10, "dt": 1e-9}}, out)
         assert status == 2
-        err = json.loads(capsys.readouterr().err)
+        err = json.loads(err)
         assert err["error"] == "ValidationError"
         assert "dt" in err["message"] and "100000 steps" in err["message"]
-        assert not (tmp_path / "histogram.csv").exists()
+        assert not (out / "histogram.csv").exists()
 
     @pytest.mark.parametrize(
         ("text", "message"),
@@ -498,17 +459,17 @@ class TestExitCodes:
             "over-long-int",
         ],
     )
-    def test_non_finite_number_is_validation_exit(self, tmp_path, capsys, text, message):
+    def test_non_finite_number_is_validation_exit(self, tmp_path, text, message):
         # NaN/Infinity literals are not JSON numbers and are reported as
         # written; numbers that overflow a double are not finite; integer
         # literals too long for int() are reported shortened
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(text)
-        assert main(["field", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
-        err = json.loads(capsys.readouterr().err)
+        out = tmp_path / "out"
+        status, err = run("field", text, out)
+        assert status == 2
+        err = json.loads(err)
         assert err["error"] == "ParseError"
         assert err["message"].startswith(message)
-        assert not (tmp_path / "field.csv").exists()
+        assert not (out / "field.csv").exists()
 
     @pytest.mark.parametrize(
         ("sub", "bad", "good", "message"),
@@ -541,18 +502,17 @@ class TestExitCodes:
         ids=["sigma0-overflow", "sigma0-underflow", "drift", "hbar", "mass"],
     )
     def test_square_outside_the_double_range_is_validation_exit(
-        self, tmp_path, capsys, sub, bad, good, message
+        self, tmp_path, sub, bad, good, message
     ):
         # the packet formulas cannot form these as doubles (a Python-float
         # power raises, or sigma_t overflows), so the domain check rejects
         # them at parse time; each good value is one decade inside the rule
         parse_config(json.dumps(good))
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(bad))
-        assert main([sub, "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "ValidationError", "message": message}
-        assert list(tmp_path.iterdir()) == [cfg_path]
+        out = tmp_path / "out"
+        status, err = run(sub, bad, out)
+        assert status == 2
+        assert json.loads(err) == {"error": "ValidationError", "message": message}
+        assert _artifacts(out) == {}
 
     @pytest.mark.parametrize(
         ("config", "error", "message"),
@@ -568,13 +528,12 @@ class TestExitCodes:
         ],
         ids=["top-level", "grid", "hbar", "slits", "mask", "n", "bins", "node-floor"],
     )
-    def test_rejected_value_names_its_key(self, tmp_path, capsys, config, error, message):
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main(["field", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err == {"error": error, "message": message}
-        assert list(tmp_path.iterdir()) == [cfg_path]
+    def test_rejected_value_names_its_key(self, tmp_path, config, error, message):
+        out = tmp_path / "out"
+        status, err = run("field", config, out)
+        assert status == 2
+        assert json.loads(err) == {"error": error, "message": message}
+        assert _artifacts(out) == {}
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):

@@ -65,7 +65,9 @@ class TestSlitMask:
         with pytest.raises(ValueError):
             SlitMask([-1])
 
-    @pytest.mark.parametrize("index", [1.7, 0.5, -0.5, True, False, np.True_])
+    @pytest.mark.parametrize(
+        "index", [1.7, 0.5, -0.5, True, False, np.True_, float("inf"), float("nan"), None]
+    )
     def test_fractional_index_rejected(self, index):
         with pytest.raises(ValueError, match="whole numbers"):
             SlitMask([index])

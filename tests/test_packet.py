@@ -34,6 +34,8 @@ def test_sigma_spread_closed_form():
 def test_sigma_rejects_negative_time():
     with pytest.raises(NegativeTime):
         sigma_t(P, UNIT, -1.0)
+    with pytest.raises(NegativeTime):
+        sigma_t(P, UNIT, np.nan)
 
 
 def test_sigma_strictly_increasing():
@@ -210,6 +212,14 @@ def test_diffusion_scale_tracks_constants():
 def test_eval_rejects_negative_time():
     with pytest.raises(NegativeTime):
         eval_packet(P, UNIT, 0.0, -1e-9)
+    with pytest.raises(NegativeTime):
+        eval_packet(P, SlitSpec(-3.0), 0.0, np.nan)
+
+
+def test_psi_rejects_negative_or_nan_time():
+    for t in (-1e-9, np.nan):
+        with pytest.raises(NegativeTime):
+            psi(P, UNIT, 0.0, t)
 
 
 def test_far_slit_carrier_is_finite():

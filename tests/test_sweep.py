@@ -1,8 +1,8 @@
 """A random-config sweep over the five subcommands, and the configs it pinned.
 
 Each drawn config (1-4 slits, every key optional, values either moderate
-or magnitudes up to 1e300) runs through `main` in-process for every
-subcommand, twice.  Every finite config must get a clear outcome:
+or magnitudes up to 1e300) runs in-process through tools/artifact_digests.py's
+run() for every subcommand, twice.  Every finite config must get a clear outcome:
 
 - exit 0, 2 or 3, or 4 only for a runtime condition of the physics
   (DegenerateDensity, NodalPoint or BoundaryLeak);
@@ -15,22 +15,21 @@ subcommand, twice.  Every finite config must get a clear outcome:
 The sweep is derandomised, so every run draws the same examples.
 """
 
-import contextlib
 import io
 import json
 import tempfile
-import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from artifact_digests import CASES, run
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from path_excitation import cli, trajectories
 from path_excitation.channels import assemble, build_channels
-from path_excitation.cli import SUBCOMMANDS, main, parse_config
+from path_excitation.cli import SUBCOMMANDS, parse_config
 from path_excitation.field import open_evals
 
 RUNTIME_ERRORS = {"DegenerateDensity", "NodalPoint", "BoundaryLeak"}
@@ -41,22 +40,16 @@ PHASE_MAX = 1e3
 
 def _run(sub, config, out):
     """(exit status, error line, artifact bytes) of one run, and its ensembles."""
-    out.mkdir()
-    cfg_path = out / "config.json"
-    cfg_path.write_text(json.dumps(config))
     results = []
 
     def spy(*args, **kwargs):
         results.append(trajectories.ensemble(*args, **kwargs))
         return results[-1]
 
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), mock.patch.object(cli, "ensemble", spy):
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore")
-            code = main([sub, "--config", str(cfg_path), "--out-dir", str(out / "out")])
-    lines = [json.loads(line) for line in err.getvalue().splitlines() if line.startswith("{")]
-    files = {f.name: f.read_bytes() for f in sorted((out / "out").glob("*"))}
+    with mock.patch.object(cli, "ensemble", spy), np.errstate(all="ignore"):
+        code, err = run(sub, config, out)
+    lines = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+    files = {f.name: f.read_bytes() for f in sorted(out.glob("*"))}
     return (code, lines, files), results
 
 
@@ -184,38 +177,16 @@ def test_random_configs_get_a_clear_outcome(config):
     check_config(config)
 
 
-# Each config with its exit status on field, trajectories, sorkin, verify
+# Each config, or the label of the tools/artifact_digests.py case that
+# runs it, with its exit status on field, trajectories, sorkin, verify
 # and packet, the order of SUBCOMMANDS.
 PINNED = [
-    # sigma_t's tau * tau overflows at t0, so the sampler window was inf
-    # and trajectories exited 4 with MismatchedPoint while field passed
-    (
-        {"slits": [{"center": -3}, {"center": 3, "sigma0": 1e-80}], "trajectories": {"n": 50}},
-        (2, 2, 2, 2, 2),
-    ),
-    # a lone survivor near 3e50, where numpy's +-0.5 range widening rounds away
-    (
-        {
-            "slits": [{"center": 2.09128160260725}],
-            "hbar": 7.652941851576945e50,
-            "grid": {"n": 47},
-            "trajectories": {"n": 1, "bins": 6},
-        },
-        (0, 0, 2, 0, 0),
-    ),
-    # the phase overflows at grid.t; trajectories exited 4 with MismatchedPoint
-    (
-        {
-            "slits": [
-                {"center": 0.8015171634341023, "sigma0": 9.596781953312769e150,
-                 "drift": -1.8299560776148117e20},
-                {"center": 2.6553656400556065, "sigma0": 3.013393755405122e100},
-            ],
-            "grid": {"n": 51, "t": 3.038992853048083e50},
-            "trajectories": {"n": 1, "bins": 4},
-        },
-        (2, 2, 2, 2, 2),
-    ),
+    # the sampler window was inf and trajectories exited 4 with
+    # MismatchedPoint while field passed
+    ("tiny_sigma_t0", (2, 2, 2, 2, 2)),
+    ("far_lone_survivor", (0, 0, 2, 0, 0)),
+    # trajectories exited 4 with MismatchedPoint
+    ("phase_overflow_grid_t", (2, 2, 2, 2, 2)),
     # verify exits 3 on roundoff alone in these two: J is far below P * u
     # (a heavy mass; a wide packet with a phase offset), and the oracle's
     # Im(conj(psi) dpsi) carries roundoff on the P * u scale, which beats
@@ -268,8 +239,19 @@ PINNED = [
 ]
 
 
+CASE = {label: config for label, config, _ in CASES}
+
+
 @pytest.mark.parametrize(("config", "exits"), PINNED)
 def test_pinned_config_gets_a_clear_outcome(config, exits):
     # one run each: the random sweep checks reruns, and one pinned
     # trajectories run takes 2000 controlled steps
+    config = CASE[config] if isinstance(config, str) else config
     assert tuple(check_config(config, rerun=False).values()) == exits
+
+
+def test_digest_keys_are_unique_and_pinned_labels_exist():
+    # digest lines are keyed by label/subcommand
+    keys = [(label, sub) for label, _, subs in CASES for sub in subs]
+    assert len(keys) == len(set(keys))
+    assert {config for config, _ in PINNED if isinstance(config, str)} <= CASE.keys()

@@ -63,6 +63,17 @@ class TestSampling:
         with pytest.raises(ValueError, match="n >= 1"):
             quantile_initial(P, SYMMETRIC, BOTH, 0.5, 0)
 
+    def test_non_integer_count_rejected(self):
+        for n in (2.5, 3.0, True, None):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                sample_initial(P, SYMMETRIC, BOTH, 0.5, n, seed=0)
+            with pytest.raises(ValueError, match="n must be an integer"):
+                quantile_initial(P, SYMMETRIC, BOTH, 0.5, n)
+        a = sample_initial(P, SYMMETRIC, BOTH, 0.5, np.int64(7), seed=0)
+        assert np.array_equal(a, sample_initial(P, SYMMETRIC, BOTH, 0.5, 7, seed=0))
+        b = quantile_initial(P, SYMMETRIC, BOTH, 0.5, np.int64(7))
+        assert np.array_equal(b, quantile_initial(P, SYMMETRIC, BOTH, 0.5, 7))
+
     @pytest.mark.parametrize(
         ("params", "slits"),
         [
@@ -145,6 +156,15 @@ class TestIntegrate:
             integrate(P, SINGLE, ONE, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             integrate(P, SINGLE, ONE, 0.0, 0.5, 1.0, dt=-0.1)
+
+    @pytest.mark.parametrize(("t1", "dt"), [(np.inf, None), (np.inf, 0.1), (0.5, np.inf)])
+    def test_rejects_infinite_window_or_step(self, t1, dt):
+        with pytest.raises(ValueError, match="is not finite"):
+            integrate(P, SYMMETRIC, BOTH, 0.0, 0.001, t1, dt)
+        with pytest.raises(ValueError, match="is not finite"):
+            streamlines(P, SYMMETRIC, BOTH, [0.0], 0.001, t1, dt)
+        with pytest.raises(ValueError, match="is not finite"):
+            ensemble(P, SYMMETRIC, BOTH, 0.001, t1, 10, dt=dt)
 
     def test_step_count_cap_rejects_tiny_dt_before_integrating(self, monkeypatch):
         def never(*args, **kwargs):

@@ -3,11 +3,11 @@
     PYTHONPATH=src python tools/artifact_digests.py
     PYTHONPATH=<parent>/src python tools/artifact_digests.py
 
-Each (config, subcommand) pair runs in-process through the CLI's `main`,
-in a fresh temporary directory, with the path_excitation package found
-on PYTHONPATH; the tool writes that package's directory to stderr, so a
-comparison shows which tree ran.  For every artifact the output holds
-one line
+Each (config, subcommand) pair runs in-process through run(), the one
+runner the CLI tests share, in a fresh temporary directory, with the
+path_excitation package found on PYTHONPATH; the tool writes that
+package's directory to stderr, so a comparison shows which tree ran.
+For every artifact the output holds one line
 
     <sha256>  <config>/<subcommand>/<file>
 
@@ -208,20 +208,29 @@ def digest_lines(label: str, sub: str, out: Path, code: int, stderr: str) -> lis
     return lines
 
 
+def run(sub: str, config, out: Path) -> tuple[int, str]:
+    """Run one subcommand in-process: (exit status, stderr text).
+
+    config (a dict, or JSON text as written) goes to out.json beside the
+    output directory out; warnings are silenced, stderr is captured.
+    """
+    cfg_path = out.with_name(out.name + ".json")
+    cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main([sub, "--config", str(cfg_path), "--out-dir", str(out)])
+    return code, err.getvalue()
+
+
 def current_lines() -> list[str]:
     """The output lines of every case, each run in-process in a fresh directory."""
     lines = []
     for label, config, subs in CASES:
         for sub in subs:
             with tempfile.TemporaryDirectory() as tmp:
-                cfg_path = Path(tmp) / "config.json"
-                cfg_path.write_text(json.dumps(config))
                 out = Path(tmp) / "out"
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err), warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    code = main([sub, "--config", str(cfg_path), "--out-dir", str(out)])
-                lines += digest_lines(label, sub, out, code, err.getvalue())
+                lines += digest_lines(label, sub, out, *run(sub, config, out))
     return lines
 
 
