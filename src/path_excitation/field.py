@@ -28,8 +28,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import MismatchedPoint, NegativeTime
-from .packet import PacketEval, PhysParams, SlitSpec, eval_packet, sigma_t
+from .errors import MismatchedPoint
+from .packet import PacketEval, PhysParams, SlitSpec, _check_count, _check_time, eval_packet, sigma_t
 
 __all__ = [
     "GridSpec",
@@ -57,10 +57,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.x_min < self.x_max:
             raise ValueError("x_min < x_max violated")
-        if not self.n_points >= 2:
-            raise ValueError("n_points >= 2 violated")
-        if not self.t >= 0.0:
-            raise NegativeTime("t >= 0 violated")
+        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
+            raise ValueError("x_min and x_max must be finite")
+        _check_count(self.n_points, "n_points", 2)
+        _check_time(self.t)
 
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)

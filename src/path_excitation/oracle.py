@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import BoundaryLeak, NodalPoint
 from .field import DEFAULT_NODE_FLOOR, GridSpec, SlitMask, _grid_blocks, peak_bound
-from .packet import PhysParams, SlitSpec, _check_time, psi
+from .packet import PhysParams, SlitSpec, _check_count, _check_time, psi
 
 __all__ = [
     "Superposition",
@@ -231,10 +231,7 @@ def fd_propagate(
         raise ValueError("x and psi0 must be matching 1-d arrays of size >= 3")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(out)) and np.isfinite(t_end)):
         raise ValueError("x, psi0 and t_end must be finite")
-    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
-        raise ValueError("n_steps must be an integer")
-    if n_steps < 1:
-        raise ValueError("n_steps >= 1 violated")
+    _check_count(n_steps, "n_steps")
     dx = (x[-1] - x[0]) / (x.size - 1)
     dt = float(t_end) / n_steps
     if dt > dx * dx * params.mass / params.hbar * (1.0 + 1e-12):

@@ -99,10 +99,21 @@ class PacketEval:
 
 
 def _check_time(t: float) -> float:
+    """The one time rule: t as a float, finite and at or after the release at 0."""
     t = float(t)
-    if not t >= 0.0:  # NaN too
+    if not 0.0 <= t < np.inf:  # NaN too
+        if t == np.inf:
+            raise ValueError(f"t = {t} is not finite")
         raise NegativeTime(f"t = {t} is not at or after the release time 0")
     return t
+
+
+def _check_count(n, name: str, least: int = 1) -> None:
+    """The one count rule: n is an int or NumPy integer, not a bool, and n >= least."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+    if n < least:
+        raise ValueError(f"{name} >= {least} violated")
 
 
 def sigma_t(params: PhysParams, slit: SlitSpec, t: float) -> float:

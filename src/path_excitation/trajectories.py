@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateDensity
 from .field import DEFAULT_NODE_FLOOR, SlitMask, _guidance, _pairwise, open_evals, peak_bound
-from .packet import _WINDOW_WIDTHS, PhysParams, SlitSpec, sigma_t
+from .packet import _WINDOW_WIDTHS, PhysParams, SlitSpec, _check_count, sigma_t
 
 __all__ = [
     "Termination",
@@ -270,13 +270,14 @@ def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, record=False) -> _B
     )
 
 
-def _tabulated_cdf(params, slits, mask, t0):
-    """Normalized CDF of the t0 intensity on the fixed sampler grid.
+def _quantiles(params, slits, mask, t0, u):
+    """Positions at quantiles u of the normalized t0 intensity.
 
-    The grid spans _WINDOW_WIDTHS maximal widths beyond the outermost
-    packet centers, the window packet._check_domain probes; trapezoids
-    integrate the density.  A total intensity that is not finite, or
-    numerically zero, raises DegenerateDensity.
+    Inverse-CDF lookup, linear between the points of the fixed sampler
+    grid.  The grid spans _WINDOW_WIDTHS maximal widths beyond the
+    outermost packet centers, the window packet._check_domain probes;
+    trapezoids integrate the density.  A total intensity that is not
+    finite, or numerically zero, raises DegenerateDensity.
     """
     open_slits = mask.select(slits)
     if not open_slits:
@@ -294,15 +295,7 @@ def _tabulated_cdf(params, slits, mask, t0):
         raise DegenerateDensity(f"total integrated intensity {total:g} is not finite")
     if total < 1e-300:
         raise DegenerateDensity(f"total integrated intensity {total:g} is numerically zero")
-    return xs, cdf / total
-
-
-def _check_count(n) -> None:
-    """A start count is an int or NumPy integer (not a bool), at least 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError("n must be an integer")
-    if n < 1:
-        raise ValueError("n >= 1 violated")
+    return np.interp(u, cdf / total, xs)
 
 
 def sample_initial(
@@ -319,10 +312,8 @@ def sample_initial(
     from a seeded generator.  Output order is draw order, so sample i
     depends only on (seed, i).
     """
-    _check_count(n)
-    xs, cdf = _tabulated_cdf(params, slits, mask, t0)
-    u = np.random.default_rng(seed).random(n)
-    return np.interp(u, cdf, xs)
+    _check_count(n, "n")
+    return _quantiles(params, slits, mask, t0, np.random.default_rng(seed).random(n))
 
 
 def quantile_initial(
@@ -338,10 +329,8 @@ def quantile_initial(
     small n spreads representative streamlines across the ensemble
     without any randomness.
     """
-    _check_count(n)
-    xs, cdf = _tabulated_cdf(params, slits, mask, t0)
-    u = (np.arange(n) + 0.5) / n
-    return np.interp(u, cdf, xs)
+    _check_count(n, "n")
+    return _quantiles(params, slits, mask, t0, (np.arange(n) + 0.5) / n)
 
 
 def integrate(
@@ -411,6 +400,7 @@ def ensemble(
     are excluded from the histogram but reported.
     """
     dt = _resolve_dt(t0, t1, dt)
+    _check_count(bins, "bins")
     x0 = np.sort(sample_initial(params, slits, mask, t0, n, seed))
     res = _bundle(params, slits, mask, x0, t0, t1, dt, node_floor)
     survivors = res.x_final[~res.aborted]

@@ -386,34 +386,23 @@ class TestExitCodes:
         assert json.loads(err) == {"error": "ValidationError", "message": message}
         assert _artifacts(out) == {}
 
-    def test_trajectory_count_cap_exits_before_allocating(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        ("key", "cap"),
+        [("n", trajectories._MAX_TRAJECTORIES), ("bins", cli._MAX_BINS)],
+        ids=["n", "bins"],
+    )
+    def test_trajectory_cap_exits_before_allocating(self, tmp_path, monkeypatch, key, cap):
         def never(*args, **kwargs):
-            raise AssertionError("a capped trajectories.n reached the ensemble")
+            raise AssertionError(f"a capped trajectories.{key} reached the ensemble")
 
         monkeypatch.setattr(cli, "ensemble", never)
-        cap = trajectories._MAX_TRAJECTORIES
-        assert parse_config(json.dumps({"trajectories": {"n": cap}})).n == cap
+        assert getattr(parse_config(json.dumps({"trajectories": {key: cap}})), key) == cap
         out = tmp_path / "out"
-        status, err = run("trajectories", {"trajectories": {"n": cap + 1}}, out)
+        status, err = run("trajectories", {"trajectories": {key: cap + 1}}, out)
         assert status == 2
         err = json.loads(err)
         assert err["error"] == "ValidationError"
-        assert err["message"] == f"trajectories.n = {cap + 1} exceeds the cap of {cap}"
-        assert not (out / "histogram.csv").exists()
-
-    def test_bin_cap_exits_before_allocating(self, tmp_path, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("a capped trajectories.bins reached the histogram")
-
-        monkeypatch.setattr(cli, "ensemble", never)
-        cap = cli._MAX_BINS
-        assert parse_config(json.dumps({"trajectories": {"bins": cap}})).bins == cap
-        out = tmp_path / "out"
-        status, err = run("trajectories", {"trajectories": {"bins": cap + 1}}, out)
-        assert status == 2
-        err = json.loads(err)
-        assert err["error"] == "ValidationError"
-        assert err["message"] == f"trajectories.bins = {cap + 1} exceeds the cap of {cap}"
+        assert err["message"] == f"trajectories.{key} = {cap + 1} exceeds the cap of {cap}"
         assert not (out / "histogram.csv").exists()
 
     def test_grid_point_cap_exits_before_allocating(self, tmp_path, monkeypatch):
@@ -519,6 +508,11 @@ class TestExitCodes:
         [
             ([], "ParseError", "top-level value must be an object"),
             ({"grid": []}, "ParseError", "grid: expected an object"),
+            (
+                {"grid": {"t": -1.0}},
+                "ValidationError",
+                "grid: t = -1.0 is not at or after the release time 0",
+            ),
             ({"hbar": 0}, "ValidationError", "hbar > 0 violated"),
             ({"slits": []}, "ParseError", "slits: expected a non-empty list of objects"),
             ({"mask": 0}, "ParseError", "mask: expected a list of slit indices"),
@@ -526,7 +520,7 @@ class TestExitCodes:
             ({"trajectories": {"bins": 0}}, "ValidationError", "trajectories.bins >= 1 violated"),
             ({"node_floor": -1e-12}, "ValidationError", "node_floor >= 0 violated"),
         ],
-        ids=["top-level", "grid", "hbar", "slits", "mask", "n", "bins", "node-floor"],
+        ids=["top-level", "grid", "grid-t", "hbar", "slits", "mask", "n", "bins", "node-floor"],
     )
     def test_rejected_value_names_its_key(self, tmp_path, config, error, message):
         out = tmp_path / "out"

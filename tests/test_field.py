@@ -36,14 +36,22 @@ class TestGridSpec:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError, match="x_min < x_max"):
             GridSpec(1.0, 1.0, 10, 0.0)
+        for x_min, x_max in ((-np.inf, 1.0), (-1.0, np.inf)):
+            with pytest.raises(ValueError, match="x_min and x_max must be finite"):
+                GridSpec(x_min, x_max, 3, 1.0)
 
     def test_rejects_single_point(self):
         with pytest.raises(ValueError, match="n_points >= 2"):
             GridSpec(0.0, 1.0, 1, 0.0)
+        for n_points in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="n_points must be an integer"):
+                GridSpec(0.0, 1.0, n_points, 0.0)
 
     def test_rejects_negative_time(self):
         with pytest.raises(NegativeTime):
             GridSpec(0.0, 1.0, 10, -0.5)
+        with pytest.raises(ValueError, match="t = inf is not finite"):
+            GridSpec(-1.0, 1.0, 3, np.inf)
 
 
 class TestSlitMask:

@@ -422,6 +422,19 @@ def test_no_production_module_imports_channels():
     assert offenders == []
 
 
+def test_packet_imports_only_errors_from_the_package():
+    """packet holds the count and time rules that field, trajectories and
+    oracle import, so any other package import there would be a cycle."""
+    path = Path(path_excitation.__file__).resolve().parent / "packet.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+    assert {m for m in imported if m.startswith((".", "path_excitation"))} == {".errors"}
+
+
 # -------------------------------------------------------------- equivalence
 
 

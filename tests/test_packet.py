@@ -36,6 +36,8 @@ def test_sigma_rejects_negative_time():
         sigma_t(P, UNIT, -1.0)
     with pytest.raises(NegativeTime):
         sigma_t(P, UNIT, np.nan)
+    with pytest.raises(ValueError, match="t = inf is not finite"):
+        sigma_t(P, UNIT, np.inf)
 
 
 def test_sigma_strictly_increasing():
@@ -214,12 +216,16 @@ def test_eval_rejects_negative_time():
         eval_packet(P, UNIT, 0.0, -1e-9)
     with pytest.raises(NegativeTime):
         eval_packet(P, SlitSpec(-3.0), 0.0, np.nan)
+    with pytest.raises(ValueError, match="t = inf is not finite"):
+        eval_packet(P, SlitSpec(-3.0), [0.0], np.inf)
 
 
 def test_psi_rejects_negative_or_nan_time():
     for t in (-1e-9, np.nan):
         with pytest.raises(NegativeTime):
             psi(P, UNIT, 0.0, t)
+    with pytest.raises(ValueError, match="t = inf is not finite"):
+        psi(P, UNIT, 0.0, np.inf)
 
 
 def test_far_slit_carrier_is_finite():

@@ -180,6 +180,17 @@ class TestIntegrate:
         # the cap itself is allowed
         assert trajectories._resolve_dt(0.0, 2.0, 2.0 / trajectories._MAX_STEPS) > 0.0
 
+    def test_bad_bins_rejected_before_integrating(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a bad bins reached the integrator")
+
+        monkeypatch.setattr(trajectories, "_bundle", never)
+        with pytest.raises(ValueError, match="bins >= 1 violated"):
+            ensemble(P, SINGLE, ONE, 0.0, 2.0, 10, bins=0)
+        for bins in (2.5, True):
+            with pytest.raises(ValueError, match="bins must be an integer"):
+                ensemble(P, SINGLE, ONE, 0.0, 2.0, 10, bins=bins)
+
 
 def test_streamlines_bundle_shapes_and_no_crossing():
     x0s = quantile_initial(P, SYMMETRIC, BOTH, 1e-3, 25)
