@@ -24,17 +24,11 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .field import DEFAULT_NODE_FLOOR, GridSpec, SlitMask, _grid_blocks
+from .field import DEFAULT_NODE_FLOOR, GridSpec, SlitMask, _check_node_floor, _grid_blocks
 from .oracle import equivalence_report
-from .packet import PhysParams, SlitSpec, _check_domain, sigma_t
+from .packet import PhysParams, SlitSpec, _check_count, _check_domain, sigma_t
 from .sorkin import sumrule_report
-from .trajectories import (
-    _MAX_TRAJECTORIES,
-    _resolve_dt,
-    ensemble,
-    quantile_initial,
-    streamlines,
-)
+from .trajectories import _resolve_dt, ensemble, quantile_initial, streamlines
 
 __all__ = ["RunConfig", "parse_config", "echo_config", "run_subcommand", "main"]
 
@@ -47,6 +41,10 @@ MAX_STREAMLINE_ROWS = 201
 # by 40 B for sorkin on 5 slits, the most its work budget admits here,
 # so this many points stay under about 0.4 GB.
 _MAX_GRID_POINTS = 10**7
+# An ensemble holds about 270 B per trajectory with 2 slits and 520 B
+# with 8 (peak RSS slope from 5e4 to 2e5 trajectories), so this many
+# stay under about 0.5 GB.
+_MAX_TRAJECTORIES = 1_000_000
 # A histogram holds about 57 B per bin (peak RSS slope from 1e6 to 3e6
 # bins), and more bins than the trajectory cap resolve nothing.
 _MAX_BINS = 10**6
@@ -114,6 +112,19 @@ def _integer(raw, where: str) -> int:
     return raw
 
 
+def _checked(where: str, rule, *args, **kwargs):
+    """rule(*args, **kwargs), its ValueError raised as ValidationError(where + message).
+
+    A ParseError (from _resolve_dt's number callback) passes unchanged.
+    """
+    try:
+        return rule(*args, **kwargs)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ValidationError(f"{where}{exc}") from None
+
+
 def _check_cap(value: int, cap: int, where: str) -> None:
     if value > cap:
         raise ValidationError(f"{where} = {value} exceeds the cap of {cap}")
@@ -128,28 +139,32 @@ def _object(value, allowed, where: str) -> dict:
     return value
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate strict JSON configuration text.
-
-    Structural problems (bad JSON, unknown or mistyped keys) raise
-    ParseError; value problems raise ValidationError naming the
-    violated invariant.  Omitted keys take documented defaults.
-    """
+def _load(text: str):
+    """text as JSON, non-finite literals and over-long integers kept as _Literal."""
     try:
-        raw = json.loads(text, parse_constant=_Literal, parse_int=_parse_int)
+        return json.loads(text, parse_constant=_Literal, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate strict JSON configuration text.
+
+    Structural problems (bad JSON, unknown or mistyped keys, a repeated
+    mask index) raise ParseError.  A value outside a cap, or outside the
+    library rule that _checked applies, raises ValidationError naming
+    the key and the violated invariant.  Omitted keys take documented
+    defaults.
+    """
+    raw = _load(text)
     if not isinstance(raw, dict):
         raise ParseError("top-level value must be an object")
     _object(raw, _TOP_KEYS, "config")
 
     kwargs = {key: _number(raw[key], key) for key in ("hbar", "mass") if key in raw}
-    try:
-        params = PhysParams(**kwargs)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    params = _checked("", PhysParams, **kwargs)
 
     slits_raw = raw.get("slits", [{"center": -3.0}, {"center": 3.0}])
     if not isinstance(slits_raw, list) or not slits_raw:
@@ -161,10 +176,7 @@ def parse_config(text: str) -> RunConfig:
         if "center" not in item:
             raise ParseError(f"{where}: missing key 'center'")
         kwargs = {key: _number(item[key], f"{where}.{key}") for key in _SLIT_KEYS if key in item}
-        try:
-            slits.append(SlitSpec(**kwargs))
-        except ValueError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
+        slits.append(_checked(f"{where}: ", SlitSpec, **kwargs))
 
     mask_raw = raw.get("mask", list(range(len(slits))))
     if not isinstance(mask_raw, list):
@@ -172,10 +184,8 @@ def parse_config(text: str) -> RunConfig:
     indices = [_integer(v, f"mask[{k}]") for k, v in enumerate(mask_raw)]
     if len(set(indices)) != len(indices):
         raise ParseError("mask: duplicate index")
-    for v in indices:
-        if not 0 <= v < len(slits):
-            raise ValidationError(f"mask index {v} out of range for {len(slits)} slits")
-    mask = SlitMask(indices)
+    mask = _checked("", SlitMask, indices)
+    _checked("", mask.select, slits)
 
     grid_raw = _object(raw.get("grid", {}), _GRID_KEYS, "grid")
     x_min = _number(grid_raw.get("xmin", -15.0), "grid.xmin")
@@ -183,38 +193,29 @@ def parse_config(text: str) -> RunConfig:
     n_points = _integer(grid_raw.get("n", 2001), "grid.n")
     _check_cap(n_points, _MAX_GRID_POINTS, "grid.n")
     t = _number(grid_raw.get("t", 2.0), "grid.t")
-    try:
-        grid = GridSpec(x_min=x_min, x_max=x_max, n_points=n_points, t=t)
-    except ValueError as exc:
-        raise ValidationError(f"grid: {exc}") from None
+    grid = _checked("grid: ", GridSpec, x_min=x_min, x_max=x_max, n_points=n_points, t=t)
 
     traj_raw = _object(raw.get("trajectories", {}), _TRAJ_KEYS, "trajectories")
     t0 = _number(traj_raw.get("t0", 1e-3), "trajectories.t0")
     t1 = _number(traj_raw.get("t1", grid.t), "trajectories.t1")
-    dt = _resolve_dt(
-        t0, t1, traj_raw.get("dt"),
+    dt = _checked(
+        "", _resolve_dt, t0, t1, traj_raw.get("dt"),
         number=lambda raw: _number(raw, "trajectories.dt"),
-        error=ValidationError,
     )
     for i, slit in enumerate(slits):  # every slit whatever the mask, as sorkin takes them all
-        try:
-            _check_domain(params, slit, (t0, t1))
-            _check_domain(params, slit, (grid.t,), (grid.x_min, grid.x_max))
-        except ValueError as exc:
-            raise ValidationError(f"slits[{i}]: {exc}") from None
+        _checked(f"slits[{i}]: ", _check_domain, params, slit, (t0, t1))
+        _checked(f"slits[{i}]: ", _check_domain, params, slit, (grid.t,), (grid.x_min, grid.x_max))
     n = _integer(traj_raw.get("n", 10000), "trajectories.n")
-    if n < 1:
-        raise ValidationError("trajectories.n >= 1 violated")
+    _checked("", _check_count, n, "trajectories.n")
     _check_cap(n, _MAX_TRAJECTORIES, "trajectories.n")
     bins = _integer(traj_raw.get("bins", 100), "trajectories.bins")
-    if bins < 1:
-        raise ValidationError("trajectories.bins >= 1 violated")
+    _checked("", _check_count, bins, "trajectories.bins")
     _check_cap(bins, _MAX_BINS, "trajectories.bins")
     seed = _integer(traj_raw.get("seed", 0), "trajectories.seed")
+    _checked("", _check_count, seed, "trajectories.seed", 0)
 
     node_floor = _number(raw.get("node_floor", DEFAULT_NODE_FLOOR), "node_floor")
-    if node_floor < 0.0:
-        raise ValidationError("node_floor >= 0 violated")
+    _checked("", _check_node_floor, node_floor)
 
     return RunConfig(
         params=params,
@@ -482,6 +483,7 @@ def main(argv=None) -> int:
                 raise ParseError(f"cannot read config file: {exc}") from None
         cfg = parse_config(text)
         if args.seed is not None:
+            _checked("", _check_count, args.seed, "trajectories.seed", 0)
             cfg = replace(cfg, seed=args.seed)
         return run_subcommand(args.command, cfg, args.out_dir)
     except (ParseError, ValidationError) as exc:

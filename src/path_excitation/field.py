@@ -57,8 +57,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.x_min < self.x_max:
             raise ValueError("x_min < x_max violated")
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
-            raise ValueError("x_min and x_max must be finite")
+        if not np.isfinite(self.x_max - self.x_min):  # an infinite bound spans inf
+            raise ValueError("x_min and x_max must be finite, and so must x_max - x_min")
         _check_count(self.n_points, "n_points", 2)
         _check_time(self.t)
 
@@ -97,11 +97,11 @@ class SlitMask:
         return tuple(sorted(self.open))
 
     def select(self, slits: list[SlitSpec]) -> list[SlitSpec]:
-        """The open slits in ascending index order; ValueError if an index is out of range."""
-        for i in self.open:
-            if i >= len(slits):
-                raise ValueError(f"mask index {i} out of range for {len(slits)} slits")
-        return [slits[i] for i in self.indices()]
+        """The open slits in ascending order; ValueError names the largest index out of range."""
+        indices = self.indices()
+        if indices and indices[-1] >= len(slits):
+            raise ValueError(f"mask index {indices[-1]} out of range for {len(slits)} slits")
+        return [slits[i] for i in indices]
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,12 @@ def _common_point(evals: list[PacketEval]) -> tuple[np.ndarray, float]:
     return x0, t0
 
 
+def _check_node_floor(node_floor: float) -> None:
+    """The one node-floor rule: node_floor >= 0, since a negative or NaN floor flags no node."""
+    if not node_floor >= 0.0:
+        raise ValueError("node_floor >= 0 violated")
+
+
 def _guidance(p, j, node_floor, peak, conv) -> FieldSample:
     """The one nodal and guidance rule: FieldSample from totals p, j.
 
@@ -138,6 +144,7 @@ def _guidance(p, j, node_floor, peak, conv) -> FieldSample:
     convective velocities; one slit carries no interference, so its own
     is returned verbatim at live points, otherwise v = j / p.
     """
+    _check_node_floor(node_floor)
     nodal = p < node_floor * peak if peak > 0.0 else np.ones(np.shape(p), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         v_raw = np.broadcast_to(conv[0], p.shape) if len(conv) == 1 else j / np.where(nodal, 1.0, p)

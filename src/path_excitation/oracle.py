@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryLeak, NodalPoint
-from .field import DEFAULT_NODE_FLOOR, GridSpec, SlitMask, _grid_blocks, peak_bound
+from .field import DEFAULT_NODE_FLOOR, GridSpec, SlitMask, _check_node_floor, _grid_blocks, peak_bound
 from .packet import PhysParams, SlitSpec, _check_count, _check_time, psi
 
 __all__ = [
@@ -147,8 +147,9 @@ def bohm_velocity(
     P below node_floor times that reference raises NodalPoint, as does
     any point when the reference is not positive (no density at all).
     That is field._guidance's rule, spelled apart to keep the routes
-    independent.
+    independent; the input rule _check_node_floor is shared.
     """
+    _check_node_floor(node_floor)
     p, j = qm_current(params, slits, mask, x, t)
     peak = peak_bound(params, slits, mask, t)
     if not peak > 0.0:

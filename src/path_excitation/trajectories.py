@@ -50,10 +50,6 @@ CROSSING_TOL = 1e-9
 _SAMPLER_POINTS = 8192
 _FLOOR_STEPS = 2000  # the floor step of the controlled path is (t1 - t0)/2000
 _MAX_STEPS = 100_000  # an explicit dt may take at most this many steps
-# An ensemble holds about 270 B per trajectory with 2 slits and 520 B
-# with 8 (peak RSS slope from 5e4 to 2e5 trajectories), so this many
-# stay under about 0.5 GB.
-_MAX_TRAJECTORIES = 1_000_000
 _STEP_TOL = 1e-10  # accepted |x5 - x4|, absolute, worst live trajectory
 
 # Dormand-Prince 5(4): nodes, stage matrix rows for stages 2..7, and the
@@ -128,29 +124,29 @@ def _time_steps(t0: float, t1: float, dt: float) -> np.ndarray:
     return times
 
 
-def _resolve_dt(t0, t1, dt, number=float, error=ValueError) -> float | None:
+def _resolve_dt(t0, t1, dt, number=float) -> float | None:
     """Check the window t1 > t0 >= 0 with t1 finite, then an explicit dt.
 
     dt=None passes through and selects error-controlled stepping.  An
     explicit dt must be positive, finite and take at most _MAX_STEPS
     steps, so no record buffer is sized from an unbounded step count.
-    number converts an explicit dt and error is raised for a violated
-    invariant, so a config parser can keep its own error types while
-    the window is still checked before dt is even read.
+    number converts an explicit dt, so a config parser can raise its own
+    type error while the window is still checked before dt is even read.
+    A violated invariant raises ValueError.
     """
     if not (t1 > t0 >= 0.0):
-        raise error("t1 > t0 >= 0 violated")
+        raise ValueError("t1 > t0 >= 0 violated")
     if t1 == np.inf:
-        raise error("t1 is not finite")
+        raise ValueError("t1 is not finite")
     if dt is None:
         return None
     dt = number(dt)
     if not dt > 0.0:
-        raise error("dt > 0 violated")
+        raise ValueError("dt > 0 violated")
     if dt == np.inf:
-        raise error("dt is not finite")
+        raise ValueError("dt is not finite")
     if (t1 - t0) / dt > _MAX_STEPS:
-        raise error(f"dt = {dt!r} needs more than {_MAX_STEPS} steps over t1 - t0 = {t1 - t0!r}")
+        raise ValueError(f"dt = {dt!r} needs more than {_MAX_STEPS} steps over t1 - t0 = {t1 - t0!r}")
     return dt
 
 

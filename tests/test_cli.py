@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from artifact_digests import run
 
-from path_excitation import cli, field, sorkin, trajectories
+from path_excitation import cli, field, sorkin
 from path_excitation.cli import echo_config, main, parse_config, run_subcommand
 from path_excitation.errors import ParseError, ValidationError
 from path_excitation.packet import PhysParams, SlitSpec
@@ -304,6 +304,22 @@ class TestTrajectoriesCommand:
         echoed = parse_config(read(c / "config_echo.json"))
         assert echoed.seed == 99
 
+    @pytest.mark.parametrize("sub", ["trajectories", "field"])
+    def test_negative_seed_is_validation_exit(self, tmp_path, capsys, sub):
+        # numpy's default_rng takes no negative seed; config and --seed are
+        # checked before anything is written, whatever the subcommand
+        status, err = run(sub, {"trajectories": {"seed": -1}}, tmp_path / "config")
+        assert (status, json.loads(err)) == (
+            2, {"error": "ValidationError", "message": "trajectories.seed >= 0 violated"}
+        )
+        out = tmp_path / "flag"
+        status = main([sub, "--out-dir", str(out), "--seed", "-1"])
+        assert status == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValidationError", "message": "trajectories.seed >= 0 violated"
+        }
+        assert _artifacts(tmp_path / "config") == {} and _artifacts(out) == {}
+
 
 class TestPacketCommand:
     def test_dispersion_table(self, tmp_path):
@@ -388,7 +404,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         ("key", "cap"),
-        [("n", trajectories._MAX_TRAJECTORIES), ("bins", cli._MAX_BINS)],
+        [("n", cli._MAX_TRAJECTORIES), ("bins", cli._MAX_BINS)],
         ids=["n", "bins"],
     )
     def test_trajectory_cap_exits_before_allocating(self, tmp_path, monkeypatch, key, cap):
@@ -519,8 +535,22 @@ class TestExitCodes:
             ({"trajectories": {"n": 0}}, "ValidationError", "trajectories.n >= 1 violated"),
             ({"trajectories": {"bins": 0}}, "ValidationError", "trajectories.bins >= 1 violated"),
             ({"node_floor": -1e-12}, "ValidationError", "node_floor >= 0 violated"),
+            (
+                {"grid": {"xmin": -1e308, "xmax": 1e308, "n": 5}},
+                "ValidationError",
+                "grid: x_min and x_max must be finite, and so must x_max - x_min",
+            ),
+            ({"mask": [3, 5]}, "ValidationError", "mask index 5 out of range for 2 slits"),
+            (
+                {"mask": [-1]},
+                "ValidationError",
+                "mask indices must be non-negative whole numbers",
+            ),
         ],
-        ids=["top-level", "grid", "grid-t", "hbar", "slits", "mask", "n", "bins", "node-floor"],
+        ids=[
+            "top-level", "grid", "grid-t", "hbar", "slits", "mask", "n", "bins", "node-floor",
+            "grid-span", "mask-largest", "mask-negative",
+        ],
     )
     def test_rejected_value_names_its_key(self, tmp_path, config, error, message):
         out = tmp_path / "out"

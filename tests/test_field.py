@@ -20,7 +20,9 @@ from path_excitation.field import (
     pairwise_field,
     peak_bound,
 )
+from path_excitation.oracle import bohm_velocity
 from path_excitation.packet import PhysParams, SlitSpec, eval_packet, sigma_t
+from path_excitation.trajectories import integrate
 
 from test_channels import make_eval
 
@@ -36,7 +38,7 @@ class TestGridSpec:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError, match="x_min < x_max"):
             GridSpec(1.0, 1.0, 10, 0.0)
-        for x_min, x_max in ((-np.inf, 1.0), (-1.0, np.inf)):
+        for x_min, x_max in ((-np.inf, 1.0), (-1.0, np.inf), (-1e308, 1e308)):
             with pytest.raises(ValueError, match="x_min and x_max must be finite"):
                 GridSpec(x_min, x_max, 3, 1.0)
 
@@ -64,6 +66,8 @@ class TestSlitMask:
     def test_out_of_range_detected(self):
         with pytest.raises(ValueError, match="out of range"):
             SlitMask([3]).select(SYMMETRIC)
+        with pytest.raises(ValueError, match="^mask index 5 out of range for 2 slits$"):
+            SlitMask([3, 5]).select(SYMMETRIC)
 
     def test_select_is_ascending(self):
         slits = [SlitSpec(center=float(c)) for c in range(4)]
@@ -343,3 +347,23 @@ def test_open_evals_respects_mask_order():
     # mask indices are applied in sorted order
     ev_first = eval_packet(P, slits[0], np.array([0.0]), 1.0)
     assert np.array_equal(evals[0].amplitude, ev_first.amplitude)
+
+
+@pytest.mark.parametrize("floor", [-1.0, np.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize(
+    "entry", ["pairwise_field", "field_grid", "assemble", "integrate", "bohm_velocity"]
+)
+def test_node_floor_rule_at_entry_points(entry, floor):
+    # a negative or NaN floor flags no point nodal, which switches the
+    # nodal rule off; every entry point applies field._check_node_floor
+    both = SlitMask.all_open(2)
+    evals = open_evals(P, SYMMETRIC, both, np.array([0.0, 1.0]), 1.0)
+    calls = {
+        "pairwise_field": lambda: pairwise_field(evals, floor),
+        "field_grid": lambda: field_grid(P, SYMMETRIC, both, GridSpec(-5.0, 5.0, 11, 1.0), floor),
+        "assemble": lambda: assemble(build_channels(evals), floor),
+        "integrate": lambda: integrate(P, SYMMETRIC, both, 0.5, 0.01, 0.03, 0.01, floor),
+        "bohm_velocity": lambda: bohm_velocity(P, SYMMETRIC, both, np.array([0.5]), 1.0, floor),
+    }
+    with pytest.raises(ValueError, match="^node_floor >= 0 violated$"):
+        calls[entry]()

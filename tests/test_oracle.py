@@ -435,6 +435,23 @@ def test_packet_imports_only_errors_from_the_package():
     assert {m for m in imported if m.startswith((".", "path_excitation"))} == {".errors"}
 
 
+def test_parse_config_converts_value_errors_only_through_helpers():
+    """parse_config keeps the parse rules; a value error reaches it only
+    through cli._checked (a library rule) or cli._check_cap (a cap)."""
+    path = Path(path_excitation.__file__).resolve().parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (func,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "parse_config"]
+    offenders = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValidationError":
+                offenders.append(f"raise ValidationError at line {node.lineno}")
+        elif type(node).__name__ in ("Try", "TryStar"):
+            offenders.append(f"try at line {node.lineno}")
+    assert offenders == []
+
+
 # -------------------------------------------------------------- equivalence
 
 
