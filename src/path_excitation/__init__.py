@@ -53,7 +53,7 @@ from .packet import (
     psi,
     sigma_t,
 )
-from .sorkin import SumRuleReport, interference_term, subset_intensity, sumrule_report
+from .sorkin import SumRuleReport, interference_term, subset_intensity, sumrule_report, sumrule_verdict
 from .trajectories import (
     EnsembleResult,
     Termination,

@@ -25,16 +25,13 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .field import DEFAULT_NODE_FLOOR, GridSpec, SlitMask, _check_node_floor, _grid_blocks
-from .oracle import equivalence_report
+from .oracle import VERIFY_TOL, equivalence_report
 from .packet import PhysParams, SlitSpec, _check_count, _check_domain, sigma_t
-from .sorkin import sumrule_report
+from .sorkin import SORKIN_TOL, sumrule_report, sumrule_verdict
 from .trajectories import _resolve_dt, ensemble, quantile_initial, streamlines
 
 __all__ = ["RunConfig", "parse_config", "echo_config", "run_subcommand", "main"]
 
-VERIFY_TOL = 1e-10
-SORKIN_TOL = 1e-12
-SORKIN_FLOOR = 1e-6  # the order-2 term must exceed this, normalized
 MAX_STREAMLINES = 200
 MAX_STREAMLINE_ROWS = 201
 # Peak RSS grows by about 8 B per grid point for field and verify, and
@@ -113,14 +110,9 @@ def _integer(raw, where: str) -> int:
 
 
 def _checked(where: str, rule, *args, **kwargs):
-    """rule(*args, **kwargs), its ValueError raised as ValidationError(where + message).
-
-    A ParseError (from _resolve_dt's number callback) passes unchanged.
-    """
+    """rule(*args, **kwargs), its ValueError raised as ValidationError(where + message)."""
     try:
         return rule(*args, **kwargs)
-    except ParseError:
-        raise
     except ValueError as exc:
         raise ValidationError(f"{where}{exc}") from None
 
@@ -198,10 +190,9 @@ def parse_config(text: str) -> RunConfig:
     traj_raw = _object(raw.get("trajectories", {}), _TRAJ_KEYS, "trajectories")
     t0 = _number(traj_raw.get("t0", 1e-3), "trajectories.t0")
     t1 = _number(traj_raw.get("t1", grid.t), "trajectories.t1")
-    dt = _checked(
-        "", _resolve_dt, t0, t1, traj_raw.get("dt"),
-        number=lambda raw: _number(raw, "trajectories.dt"),
-    )
+    dt = _checked("", _resolve_dt, t0, t1, None)  # the window, before dt is read
+    if traj_raw.get("dt") is not None:  # an explicit null selects controlled stepping
+        dt = _checked("", _resolve_dt, t0, t1, _number(traj_raw["dt"], "trajectories.dt"))
     for i, slit in enumerate(slits):  # every slit whatever the mask, as sorkin takes them all
         _checked(f"slits[{i}]: ", _check_domain, params, slit, (t0, t1))
         _checked(f"slits[{i}]: ", _check_domain, params, slit, (grid.t,), (grid.x_min, grid.x_max))
@@ -369,9 +360,7 @@ def _run_trajectories(cfg: RunConfig, out_dir: str) -> int:
 
 def _run_sorkin(cfg: RunConfig, out_dir: str) -> int:
     reports = sumrule_report(cfg.params, list(cfg.slits), cfg.grid)
-    high_ok = all(r.normalized_max <= SORKIN_TOL for r in reports if r.order >= 3)
-    violation = reports[0].normalized_max > SORKIN_FLOOR
-    passed = high_ok and violation
+    violation, passed = sumrule_verdict(reports)
     payload = {
         "scale": reports[0].scale,
         "first_order_violation": violation,
@@ -392,13 +381,7 @@ def _run_sorkin(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _run_verify(cfg: RunConfig, out_dir: str) -> int:
-    report = equivalence_report(
-        cfg.params, list(cfg.slits), cfg.mask, cfg.grid, cfg.node_floor
-    )
-    ok_p = report.max_abs_dev_p <= VERIFY_TOL * report.peak_p
-    ok_j = report.max_abs_dev_j <= VERIFY_TOL * report.peak_j
-    ok_v = report.max_rel_dev_v <= VERIFY_TOL
-    passed = ok_p and ok_j and ok_v
+    report = equivalence_report(cfg.params, list(cfg.slits), cfg.mask, cfg.grid, cfg.node_floor)
     payload = {
         "max_abs_dev_p": report.max_abs_dev_p,
         "peak_p": report.peak_p,
@@ -407,11 +390,11 @@ def _run_verify(cfg: RunConfig, out_dir: str) -> int:
         "max_rel_dev_v": report.max_rel_dev_v,
         "n_nodal": report.n_nodal,
         "tolerance": VERIFY_TOL,
-        "passed": passed,
+        "passed": report.passed,
         "grid": _grid_json(report.grid),
     }
     _write(os.path.join(out_dir, "verify.json"), json.dumps(payload, indent=2) + "\n")
-    return 0 if passed else 3
+    return 0 if report.passed else 3
 
 
 def _run_packet(cfg: RunConfig, out_dir: str) -> int:

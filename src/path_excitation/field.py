@@ -275,6 +275,7 @@ def _grid_blocks(params, slits, mask, grid, node_floor):
     by a first pass over every block before this returns; the returned
     generator evaluates each block again, so memory stays at the blocks.
     """
+    _check_node_floor(node_floor)  # before the reference pass evaluates the whole grid
     xs = grid.points()
     blocks = [xs[start:start + _BLOCK] for start in range(0, xs.size, _BLOCK)]
 

@@ -69,6 +69,9 @@ _LEAK_CHUNK = 32
 _LEAK_TAIL = 0.5
 # Runtime edge threshold, relative to the initial peak.
 _LEAK_TOL = 1e-6
+# EquivalenceReport.passed's bound on each deviation: |dP| and |dJ|
+# relative to the oracle peaks, and max_rel_dev_v as it stands.
+VERIFY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,15 @@ class EquivalenceReport:
     grid: GridSpec
     peak_p: float
     peak_j: float
+
+    @property
+    def passed(self) -> bool:
+        """The verify verdict: every deviation within VERIFY_TOL of its scale; a NaN fails."""
+        return (
+            self.max_abs_dev_p <= VERIFY_TOL * self.peak_p
+            and self.max_abs_dev_j <= VERIFY_TOL * self.peak_j
+            and self.max_rel_dev_v <= VERIFY_TOL
+        )
 
 
 def superpose(

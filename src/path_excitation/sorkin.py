@@ -28,7 +28,11 @@ __all__ = [
     "subset_intensity",
     "interference_term",
     "sumrule_report",
+    "sumrule_verdict",
 ]
+
+SORKIN_TOL = 1e-12  # orders 3 and up must stay within this, normalized
+SORKIN_FLOOR = 1e-6  # the order-2 term must exceed this, normalized
 
 # Budget on 3^n x grid points, the array-element terms of the n-slit
 # inclusion-exclusion.  It admits 12 slits on 10001 points.
@@ -96,9 +100,9 @@ def sumrule_report(
     """Order-k reports for k = 2..n over all k-subsets of the n slits.
 
     The k = 2 report carries the physical first-order violation: its
-    normalized_max exceeding roughly 1e-6 confirms a live fringe term,
+    normalized_max exceeding SORKIN_FLOOR confirms a live fringe term,
     and for the default geometries it is order 0.1 or larger.  Orders
-    three and above should be zero to rounding.
+    three and above should be zero to rounding (see sumrule_verdict).
 
     The grid is evaluated in blocks, so only one block's subset
     intensities are held at a time.  Fewer than two slits, or a slit
@@ -145,3 +149,16 @@ def sumrule_report(
             )
         )
     return reports
+
+
+def sumrule_verdict(reports: list[SumRuleReport]) -> tuple[bool, bool]:
+    """(first_order_violation, passed) for sumrule_report's reports.
+
+    The order-2 term is a violation when its normalized_max exceeds
+    SORKIN_FLOOR, and the reports pass when it is one and every higher
+    order stays within SORKIN_TOL.  A NaN at order 2 is no violation,
+    and a NaN at any order fails.
+    """
+    violation = reports[0].normalized_max > SORKIN_FLOOR
+    high_ok = all(r.normalized_max <= SORKIN_TOL for r in reports if r.order >= 3)
+    return violation, high_ok and violation

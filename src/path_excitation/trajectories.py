@@ -124,15 +124,14 @@ def _time_steps(t0: float, t1: float, dt: float) -> np.ndarray:
     return times
 
 
-def _resolve_dt(t0, t1, dt, number=float) -> float | None:
+def _resolve_dt(t0, t1, dt) -> float | None:
     """Check the window t1 > t0 >= 0 with t1 finite, then an explicit dt.
 
-    dt=None passes through and selects error-controlled stepping.  An
-    explicit dt must be positive, finite and take at most _MAX_STEPS
-    steps, so no record buffer is sized from an unbounded step count.
-    number converts an explicit dt, so a config parser can raise its own
-    type error while the window is still checked before dt is even read.
-    A violated invariant raises ValueError.
+    dt=None passes through and selects error-controlled stepping, so a
+    config parser can check the window before it reads dt.  An explicit
+    dt must be positive, finite and take at most _MAX_STEPS steps, so no
+    record buffer is sized from an unbounded step count.  A violated
+    invariant raises ValueError.
     """
     if not (t1 > t0 >= 0.0):
         raise ValueError("t1 > t0 >= 0 violated")
@@ -140,7 +139,7 @@ def _resolve_dt(t0, t1, dt, number=float) -> float | None:
         raise ValueError("t1 is not finite")
     if dt is None:
         return None
-    dt = number(dt)
+    dt = float(dt)
     if not dt > 0.0:
         raise ValueError("dt > 0 violated")
     if dt == np.inf:

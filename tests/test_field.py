@@ -1,10 +1,13 @@
 """Closed-form pairwise field tests: grids, masks, and the n-slit sums."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
 
+from path_excitation import field
 from path_excitation.channels import assemble, build_channels
 from path_excitation.errors import MismatchedPoint, NegativeTime
 from path_excitation.field import (
@@ -20,7 +23,7 @@ from path_excitation.field import (
     pairwise_field,
     peak_bound,
 )
-from path_excitation.oracle import bohm_velocity
+from path_excitation.oracle import bohm_velocity, equivalence_report
 from path_excitation.packet import PhysParams, SlitSpec, eval_packet, sigma_t
 from path_excitation.trajectories import integrate
 
@@ -367,3 +370,13 @@ def test_node_floor_rule_at_entry_points(entry, floor):
     }
     with pytest.raises(ValueError, match="^node_floor >= 0 violated$"):
         calls[entry]()
+
+
+@pytest.mark.parametrize("entry", [field_grid, equivalence_report], ids=lambda f: f.__name__)
+def test_grid_entry_points_check_the_floor_before_evaluating(entry):
+    # the grid routes take a nodal reference over the whole grid first;
+    # a bad floor must be rejected before that pass, not after it
+    with mock.patch.object(field, "eval_packet", wraps=eval_packet) as spy:
+        with pytest.raises(ValueError, match="^node_floor >= 0 violated$"):
+            entry(P, SYMMETRIC, SlitMask.all_open(2), GridSpec(-5.0, 5.0, 11, 1.0), -1.0)
+    assert spy.call_count == 0

@@ -28,6 +28,7 @@ from path_excitation.field import GridSpec, SlitMask, pairwise_field, open_evals
 from path_excitation.oracle import (
     _LEAK_CHUNK,
     _LEAK_TOL,
+    VERIFY_TOL,
     EquivalenceReport,
     _dst1,
     _leak_modes,
@@ -452,6 +453,28 @@ def test_parse_config_converts_value_errors_only_through_helpers():
     assert offenders == []
 
 
+def test_cli_holds_no_tolerance_and_no_tolerance_comparison():
+    """The verify and sorkin verdicts live beside their reports, in
+    oracle and sorkin; the CLI writes what they return."""
+    path = Path(path_excitation.__file__).resolve().parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def tolerance(node):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+        return name.endswith(("_TOL", "_FLOOR"))
+
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            offenders += [f"{ast.unparse(t)} defined at line {node.lineno}" for t in targets if tolerance(t)]
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(tolerance(sub) for op in operands for sub in ast.walk(op)):
+                offenders.append(f"comparison at line {node.lineno}")
+    assert offenders == []
+
+
 # -------------------------------------------------------------- equivalence
 
 
@@ -586,3 +609,35 @@ def test_equivalence_report_with_overflow_in_a_late_block(slits):
     assert_same_report(rep, ref)
     if slits is LATE_NAN:
         assert rep.n_nodal == grid.n_points
+
+
+# ------------------------------------------------------------------ verdict
+
+
+def verify_report(**values):
+    """An EquivalenceReport with no deviation, peak_p 2 and peak_j 0.5, updated by values."""
+    return EquivalenceReport(**{
+        "max_abs_dev_p": 0.0, "max_abs_dev_j": 0.0, "max_rel_dev_v": 0.0, "n_nodal": 0,
+        "grid": GridSpec(-1.0, 1.0, 3, 1.0), "peak_p": 2.0, "peak_j": 0.5, **values,
+    })
+
+
+def test_verify_tolerance_is_pinned():
+    assert VERIFY_TOL == 1e-10
+    assert verify_report().passed
+
+
+@pytest.mark.parametrize(
+    ("name", "bound"),
+    [("max_abs_dev_p", 2.0 * 1e-10), ("max_abs_dev_j", 0.5 * 1e-10), ("max_rel_dev_v", 1e-10)],
+)
+def test_verify_passes_a_deviation_at_its_bound(name, bound):
+    assert verify_report(**{name: bound}).passed
+    assert not verify_report(**{name: np.nextafter(bound, 1.0)}).passed
+
+
+@pytest.mark.parametrize(
+    "name", ["max_abs_dev_p", "max_abs_dev_j", "max_rel_dev_v", "peak_p", "peak_j"]
+)
+def test_verify_fails_a_nan(name):
+    assert not verify_report(**{name: float("nan")}).passed

@@ -16,7 +16,15 @@ from path_excitation.channels import build_channels, project
 from path_excitation.errors import ValidationError
 from path_excitation.field import GridSpec, SlitMask, intensity, open_evals
 from path_excitation.packet import PhysParams, SlitSpec, eval_packet
-from path_excitation.sorkin import interference_term, subset_intensity, sumrule_report
+from path_excitation.sorkin import (
+    SORKIN_FLOOR,
+    SORKIN_TOL,
+    SumRuleReport,
+    interference_term,
+    subset_intensity,
+    sumrule_report,
+    sumrule_verdict,
+)
 
 from test_field import _BLOCK, BLOCK_SIZES, LATE_INF, LATE_NAN, SKEWED
 
@@ -217,3 +225,37 @@ def test_context_split_differs_from_closed_slit_sum():
     cset = build_channels(open_evals(P, pair, SlitMask([0, 1]), xs, 2.0))
     conv_sum = project(cset, 0) + project(cset, 3)
     assert np.max(np.abs(p_both - conv_sum)) <= 1e-12 * scale
+
+
+# ------------------------------------------------------------------ verdict
+
+
+def order_reports(*normalized):
+    """SumRuleReports of orders 2, 3, ... with the given normalized maxima, on scale 1."""
+    return [
+        SumRuleReport(order=k, values=np.array([m]), max_abs=m, scale=1.0, normalized_max=m)
+        for k, m in enumerate(normalized, start=2)
+    ]
+
+
+def test_sorkin_tolerances_are_pinned():
+    assert (SORKIN_TOL, SORKIN_FLOOR) == (1e-12, 1e-6)
+
+
+def test_verdict_passes_a_live_two_slit_fringe():
+    assert sumrule_verdict(sumrule_report(P, THREE[:2], GRID3)) == (True, True)
+
+
+@pytest.mark.parametrize(
+    ("normalized", "verdict"),
+    [
+        ((1e-6, 0.0), (False, False)),  # at the floor: no violation
+        ((np.nextafter(1e-6, 1.0), 1e-12), (True, True)),  # higher order at its bound
+        ((0.3, np.nextafter(1e-12, 1.0)), (True, False)),
+        ((0.3, 0.0, np.nan), (True, False)),
+        ((np.nan, 0.0), (False, False)),
+    ],
+    ids=["floor", "bound", "over-bound", "nan-high", "nan-order-2"],
+)
+def test_verdict_rule(normalized, verdict):
+    assert sumrule_verdict(order_reports(*normalized)) == verdict

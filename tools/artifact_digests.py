@@ -193,6 +193,22 @@ CASES = [
         },
         ("trajectories",),
     ),
+    # failing verdicts, exit 3: a phase of 1e8 leaves the velocities
+    # 4.2e-9 apart, over the verify tolerance
+    (
+        "phase_roundoff",
+        {"slits": [{"center": -3.0}, {"center": 3.0, "phase0": 1e8}]},
+        ("verify",),
+    ),
+    # slits too far apart to overlap on the grid: no first-order violation
+    (
+        "dead_fringe",
+        {
+            "slits": [{"center": -30.0}, {"center": 30.0}],
+            "grid": {"xmin": -35.0, "xmax": 35.0, "n": 301, "t": 0.1},
+        },
+        ("sorkin",),
+    ),
 ]
 
 
