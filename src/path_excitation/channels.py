@@ -78,13 +78,10 @@ class ChannelSet:
     """All 3n channels of one evaluation point, in slit order.
 
     Channel order is (conv, diff_right, diff_left) per slit, slits in
-    the order the evaluations were given.  x may be an array; the set
-    then describes every grid point at once.
+    the order the evaluations were given.
     """
 
     channels: tuple[Channel, ...]
-    x: np.ndarray
-    t: float
 
     @property
     def n_slits(self) -> int:
@@ -97,7 +94,7 @@ def build_channels(evals: list[PacketEval]) -> ChannelSet:
     Orientations are stacked from each carrier's cos and sin.  All
     evaluations must pass _common_point.
     """
-    x0, t0 = _common_point(evals)
+    _common_point(evals)
     chans: list[Channel] = []
     for j, ev in enumerate(evals):
         conv = np.stack([ev.cos, ev.sin], axis=-1)
@@ -108,7 +105,7 @@ def build_channels(evals: list[PacketEval]) -> ChannelSet:
             Channel(ChannelKind.DIFFUSIVE_RIGHT, j, right, np.maximum(u, 0.0), ev.amplitude),
             Channel(ChannelKind.DIFFUSIVE_LEFT, j, -right, np.maximum(-u, 0.0), ev.amplitude),
         ]
-    return ChannelSet(channels=tuple(chans), x=x0, t=t0)
+    return ChannelSet(channels=tuple(chans))
 
 
 def _mean_orientation(cset: ChannelSet) -> np.ndarray:

@@ -271,11 +271,9 @@ def _write_csv(path: str, header: str, blocks) -> None:
 
 def _write_histogram(path: str, edges: np.ndarray, counts: np.ndarray) -> None:
     total = int(counts.sum())
-    widths = np.diff(edges)
     density = np.zeros(counts.shape)
-    if total > 0:
-        live = widths > 0
-        density[live] = counts[live] / (total * widths[live])
+    if total > 0:  # np.histogram and ensemble's fallback range give every bin a positive width
+        density = counts / (total * np.diff(edges))
     _write_csv(path, "bin_left,bin_right,count,density", [[edges[:-1], edges[1:], counts, density]])
 
 

@@ -221,7 +221,8 @@ def fd_propagate(
     check, and there mostly over the few modes that can reach the
     threshold.
 
-    Preconditions: x, psi0 and t_end must be finite, n_steps an int or
+    Preconditions: x, psi0 and t_end must be finite, x uniform (each
+    point within 8 eps * max|x| of x[0] + k dx), n_steps an int or
     NumPy integer (not a bool) of at least 1, the initial edge
     amplitudes must be below 1e-10 of the initial peak (the box walls
     would otherwise matter from the start) and dt must not exceed
@@ -246,6 +247,10 @@ def fd_propagate(
         raise ValueError("x, psi0 and t_end must be finite")
     _check_count(n_steps, "n_steps")
     dx = (x[-1] - x[0]) / (x.size - 1)
+    # np.linspace places its points within 2 eps * max|x| of x[0] + k dx
+    off_grid = np.abs(x - (x[0] + dx * np.arange(x.size))).max()
+    if off_grid > 8.0 * np.finfo(float).eps * np.abs(x).max():
+        raise ValueError("x must be a uniform grid")
     dt = float(t_end) / n_steps
     if dt > dx * dx * params.mass / params.hbar * (1.0 + 1e-12):
         raise ValueError("dt <= dx^2 m / hbar violated; raise n_steps")

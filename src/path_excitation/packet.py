@@ -25,7 +25,7 @@ them where a run will, and the config parser applies it to every slit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +41,13 @@ __all__ = [
 ]
 
 
+def _check_finite_fields(spec) -> None:
+    """The one finiteness rule for a parameter record: every field is a finite number."""
+    for f in fields(spec):
+        if not np.isfinite(getattr(spec, f.name)):
+            raise ValueError(f"{f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class PhysParams:
     """Global physical constants of a run."""
@@ -53,6 +60,7 @@ class PhysParams:
             raise ValueError("hbar > 0 violated")
         if not self.mass > 0.0:
             raise ValueError("mass > 0 violated")
+        _check_finite_fields(self)
 
     @property
     def diffusion(self) -> float:
@@ -75,6 +83,7 @@ class SlitSpec:
             raise ValueError("sigma0 > 0 violated")
         if not self.weight >= 0.0:
             raise ValueError("weight >= 0 violated")
+        _check_finite_fields(self)
 
 
 @dataclass(frozen=True)

@@ -168,11 +168,9 @@ def _velocity(params, slits, mask, x, t, node_floor):
 class _BundleResult:
     times: np.ndarray
     x_final: np.ndarray
-    aborted: np.ndarray
     abort_step: np.ndarray
     n_violations: int
     paths: np.ndarray | None
-    n_steps: int
     n_rejected: int
 
 
@@ -210,8 +208,7 @@ def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, record=False) -> _B
     t, h = times[0], h_floor
     while (t < t1) if targets is None else (len(times) < targets.size):
         if targets is not None:
-            if k1 is None:
-                k1, nodal = velocity(x, t)
+            k1, nodal = velocity(x, t)
             t_new = targets[len(times)]
             h = t_new - t
             k2, n2 = velocity(x + 0.5 * h * k1, t + 0.5 * h)
@@ -219,7 +216,6 @@ def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, record=False) -> _B
             k4, n4 = velocity(x + h * k3, t + h)
             x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             hit = (nodal | n2 | n3 | n4) & alive
-            k1 = None
         else:
             h = max(h, h_floor)
             t_new = t + h
@@ -256,11 +252,9 @@ def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, record=False) -> _B
     return _BundleResult(
         times=np.array(times),
         x_final=x,
-        aborted=~alive,
         abort_step=abort_step,
         n_violations=n_viol,
         paths=paths[:len(times)] if record else None,
-        n_steps=len(times) - 1,
         n_rejected=n_rejected,
     )
 
@@ -368,9 +362,12 @@ def streamlines(
     paths[k, i] is position i at times[k], one row per accepted step;
     abort_steps[i] is the index of the last accepted sample of an
     aborted line, or -1 for a completed one.  Positions after the abort
-    index repeat the frozen value.
+    index repeat the frozen value.  A start that is not finite raises
+    ValueError: a NaN start's step error is NaN, which no tolerance rejects.
     """
     dt = _resolve_dt(t0, t1, dt)
+    if not np.isfinite(x0s).all():
+        raise ValueError("x0s must be finite")
     res = _bundle(params, slits, mask, x0s, t0, t1, dt, node_floor, record=True)
     return res.times, res.paths, res.abort_step
 
@@ -398,7 +395,7 @@ def ensemble(
     _check_count(bins, "bins")
     x0 = np.sort(sample_initial(params, slits, mask, t0, n, seed))
     res = _bundle(params, slits, mask, x0, t0, t1, dt, node_floor)
-    survivors = res.x_final[~res.aborted]
+    survivors = res.x_final[res.abort_step < 0]
     if survivors.size:
         try:
             counts, edges = np.histogram(survivors, bins=bins)
@@ -415,9 +412,9 @@ def ensemble(
         bin_edges=edges,
         counts=counts,
         n_trajectories=n,
-        n_aborted=int(np.count_nonzero(res.aborted)),
+        n_aborted=int(np.count_nonzero(res.abort_step >= 0)),
         seed=seed,
         n_crossing_violations=res.n_violations,
-        n_steps=res.n_steps,
+        n_steps=res.times.size - 1,
         n_rejected=res.n_rejected,
     )

@@ -339,6 +339,26 @@ def test_propagate_rejects_non_finite_inputs(bad):
         fd_propagate(P, xs, psi0, t_end, int(np.ceil(0.5 / dx**2)))
 
 
+@pytest.mark.parametrize("center", [0.0, 1e6], ids=["centred", "offset"])
+def test_propagate_accepts_a_linspace_grid(center):
+    # linspace points stray by up to ~2 eps max|x|: 2e-8 of dx at 1e6
+    xs = np.linspace(center - 12.0, center + 12.0, 4096)
+    slit = SlitSpec(center=center)
+    dx = (xs[-1] - xs[0]) / (xs.size - 1)
+    out = fd_propagate(P, xs, psi(P, slit, xs, 0.0).astype(complex), 0.5, int(np.ceil(0.5 / dx**2)))
+    assert np.max(np.abs(out - psi(P, slit, xs, 0.5))) < 1e-6
+
+
+def test_propagate_rejects_a_stretched_grid():
+    # dx is taken from the endpoints: this grid once came back 0.066 off
+    u = np.linspace(-20.0, 20.0, 2048)
+    xs = 20.0 * np.sign(u) * (np.abs(u) / 20.0) ** 1.3
+    psi0 = psi(P, SlitSpec(center=0.0), xs, 0.0).astype(complex)
+    dx = (xs[-1] - xs[0]) / (xs.size - 1)
+    with pytest.raises(ValueError, match="uniform"):
+        fd_propagate(P, xs, psi0, 0.5, int(np.ceil(0.5 / dx**2)))
+
+
 def test_propagate_zero_profile_stays_zero():
     xs = _grid(256)
     out = fd_propagate(P, xs, np.zeros_like(xs, dtype=complex), 0.5, 100)

@@ -5,6 +5,8 @@ differences of the complex profile, so the analytic expressions and the
 complex form can only pass together.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -205,6 +207,19 @@ def test_parameter_validation():
         PhysParams(hbar=0.0)
     with pytest.raises(ValueError, match="mass > 0"):
         PhysParams(mass=-2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["center", "sigma0", "drift", "weight", "phase0", "hbar", "mass"])
+def test_non_finite_fields_rejected(name, bad):
+    # A NaN that fails a sign rule keeps that rule's text.
+    spec = PhysParams if name in ("hbar", "mass") else partial(SlitSpec, center=0.0)
+    signed = {"sigma0": "sigma0 > 0", "weight": "weight >= 0", "hbar": "hbar > 0", "mass": "mass > 0"}
+    expected = f"{name} must be finite"
+    if name in signed and not bad > 0.0:
+        expected = signed[name]
+    with pytest.raises(ValueError, match=expected):
+        spec(**{name: bad})
 
 
 def test_diffusion_scale_tracks_constants():

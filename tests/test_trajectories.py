@@ -180,6 +180,23 @@ class TestIntegrate:
         # the cap itself is allowed
         assert trajectories._resolve_dt(0.0, 2.0, 2.0 / trajectories._MAX_STEPS) > 0.0
 
+    @pytest.mark.parametrize("dt", [None, 0.01])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_starts(self, monkeypatch, bad, dt):
+        # A NaN start once completed with NaN samples, and its NaN step
+        # error pinned a whole controlled bundle at the floor step.
+        with pytest.raises(ValueError, match="x0s must be finite"):
+            integrate(P, SYMMETRIC, BOTH, bad, 0.001, 2.0, dt)
+        with pytest.raises(ValueError, match="x0s must be finite"):
+            streamlines(P, SYMMETRIC, BOTH, bad, 0.001, 2.0, dt)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a non-finite start reached the integrator")
+
+        monkeypatch.setattr(trajectories, "_bundle", never)
+        with pytest.raises(ValueError, match="x0s must be finite"):
+            streamlines(P, SYMMETRIC, BOTH, [-1.0, bad, 1.0], 0.001, 2.0, dt)
+
     def test_bad_bins_rejected_before_integrating(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("a bad bins reached the integrator")
@@ -359,9 +376,27 @@ class TestControlledStepping:
         fixed = integrate(P, SINGLE, ONE, 1.0, 0.0, 2.0, dt=0.1)
         assert fixed.terminated is Termination.NODAL_ABORT
         res = trajectories._bundle(P, SINGLE, ONE, [1.0], 0.0, 2.0, None, 1e-12)
-        assert not res.aborted[0]
+        assert res.abort_step[0] < 0
         assert res.n_rejected > plain.n_rejected
         assert abs(res.x_final[0] - np.sqrt(2.0)) <= 1e-9
+
+    @pytest.mark.parametrize("dt", [0.05, None], ids=["rk4", "dopri"])
+    def test_stage_evaluations_have_a_closed_form(self, monkeypatch, dt):
+        # One setup evaluation, then 4 stages per RK4 step and 6 per
+        # proposed Dormand-Prince step, accepted or rejected.
+        calls = 0
+        velocity = trajectories._velocity
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return velocity(*args)
+
+        monkeypatch.setattr(trajectories, "_velocity", counted)
+        res = ensemble(P, SYMMETRIC, BOTH, T0, T1, 50, dt=dt, seed=0)
+        per_step = 4 if dt is not None else 6
+        assert calls == 1 + per_step * (res.n_steps + res.n_rejected)
+        assert res.n_steps > 0 and (res.n_rejected > 0) == (dt is None)
 
     @pytest.mark.parametrize(("t0", "t1"), [(0.0, 2.0), (1.0, 1.0 + 1e-12)], ids=["fill", "grow"])
     def test_floor_step_recording_matches_unrecorded_run(self, monkeypatch, t0, t1):
