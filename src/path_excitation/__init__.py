@@ -6,63 +6,17 @@ assemble the detection intensity, the current, and the guidance field
 that trajectories follow.  An independent complex-amplitude oracle, a
 Crank-Nicolson propagator, Born-rule equivariance checks, and the
 interference sum-rule hierarchy validate the construction.
+
+The package namespace is the union of its modules' ``__all__`` lists,
+which are the one list of each module's public names.
 """
 
-from .channels import (
-    Channel,
-    ChannelKind,
-    ChannelSet,
-    assemble,
-    build_channels,
-    channel_current,
-    project,
-)
-from .errors import (
-    BoundaryLeak,
-    DegenerateDensity,
-    MismatchedPoint,
-    NegativeTime,
-    NodalPoint,
-    ParseError,
-    ValidationError,
-)
-from .field import (
-    FieldSample,
-    GridSpec,
-    SlitMask,
-    field_grid,
-    intensity,
-    open_evals,
-    pairwise_field,
-    peak_bound,
-)
-from .oracle import (
-    EquivalenceReport,
-    Superposition,
-    bohm_velocity,
-    equivalence_report,
-    fd_propagate,
-    qm_current,
-    superpose,
-)
-from .packet import (
-    PacketEval,
-    PhysParams,
-    SlitSpec,
-    eval_packet,
-    psi,
-    sigma_t,
-)
-from .sorkin import SumRuleReport, interference_term, subset_intensity, sumrule_report, sumrule_verdict
-from .trajectories import (
-    EnsembleResult,
-    Termination,
-    Trajectory,
-    ensemble,
-    integrate,
-    quantile_initial,
-    sample_initial,
-    streamlines,
-)
+from .channels import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .field import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .packet import *  # noqa: F403
+from .sorkin import *  # noqa: F403
+from .trajectories import *  # noqa: F403
 
 __version__ = "0.1.0"

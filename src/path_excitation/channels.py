@@ -48,7 +48,6 @@ __all__ = [
     "ChannelKind",
     "Channel",
     "ChannelSet",
-    "FieldSample",
     "build_channels",
     "project",
     "channel_current",

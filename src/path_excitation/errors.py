@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "NegativeTime", "MismatchedPoint", "NodalPoint", "BoundaryLeak",
+    "DegenerateDensity", "ParseError", "ValidationError",
+]
+
 
 class NegativeTime(ValueError):
     """Raised when an evaluation time is NaN or lies before the packet release at t = 0."""

@@ -226,6 +226,11 @@ def _subset_table(evals: list[PacketEval], x) -> dict[tuple[int, ...], np.ndarra
     return table
 
 
+def _field(evals: list[PacketEval], x, node_floor, peak) -> FieldSample:
+    """The one route from evaluations at x to a FieldSample: _pairwise totals under _guidance."""
+    return _guidance(*_pairwise(evals, x), node_floor, peak, [ev.conv_velocity for ev in evals])
+
+
 def intensity(evals: list[PacketEval]) -> np.ndarray:
     """Total detection intensity P_tot; evals are checked as in pairwise_field."""
     return _pairwise(evals, _common_point(evals)[0])[0]
@@ -243,8 +248,7 @@ def pairwise_field(
     absolute) and _guidance applies the rule.  The evals, at least one,
     must share one (x, t); _common_point checks it.
     """
-    p, j = _pairwise(evals, _common_point(evals)[0])
-    return _guidance(p, j, node_floor, peak, [ev.conv_velocity for ev in evals])
+    return _field(evals, _common_point(evals)[0], node_floor, peak)
 
 
 def peak_bound(params: PhysParams, slits: list[SlitSpec], mask: SlitMask, t: float) -> float:
@@ -267,30 +271,23 @@ def _grid_blocks(params, slits, mask, grid, node_floor):
     """The grid field block by block: (x, evals, sample) per block of grid.points().
 
     Consecutive blocks of _BLOCK points cover the grid in order.  evals
-    are the open slits' evaluations at x and sample is their field under
-    _guidance, with the grid maximum of P_tot as the nodal reference
-    (not positive, and every point nodal, without density or with a NaN
-    anywhere).  Every operation is elementwise, so the blocks are
-    bit-identical to one whole-grid evaluation.  The reference is taken
-    by a first pass over every block before this returns; the returned
-    generator evaluates each block again, so memory stays at the blocks.
+    are the open slits' evaluations at x and sample is their _field,
+    with the grid maximum of P_tot as the nodal reference (not positive,
+    and every point nodal, without density or with a NaN anywhere).
+    Every operation is elementwise, so the blocks are bit-identical to
+    one whole-grid evaluation.  The reference is taken by a first pass
+    over every block before this returns; the returned generator
+    evaluates each block again, so memory stays at the blocks.
     """
     _check_node_floor(node_floor)  # before the reference pass evaluates the whole grid
     xs = grid.points()
     blocks = [xs[start:start + _BLOCK] for start in range(0, xs.size, _BLOCK)]
 
-    def totals(x):
-        evals = open_evals(params, slits, mask, x, grid.t)
-        return (evals, *_pairwise(evals, x))
+    maxima = [np.max(_pairwise(open_evals(params, slits, mask, x, grid.t), x)[0]) for x in blocks]
+    peak = float(np.max(maxima))  # np.max keeps a NaN wherever it occurs
 
-    # np.max over the block maxima keeps a NaN wherever it occurs
-    peak = float(np.max([np.max(totals(x)[1]) for x in blocks]))
-
-    def sample(x):
-        evals, p, j = totals(x)
-        return x, evals, _guidance(p, j, node_floor, peak, [ev.conv_velocity for ev in evals])
-
-    return map(sample, blocks)
+    evals = (open_evals(params, slits, mask, x, grid.t) for x in blocks)
+    return ((x, ev, _field(ev, x, node_floor, peak)) for x, ev in zip(blocks, evals))
 
 
 def field_grid(

@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateDensity
-from .field import DEFAULT_NODE_FLOOR, SlitMask, _guidance, _pairwise, open_evals, peak_bound
+from .field import DEFAULT_NODE_FLOOR, SlitMask, _field, _pairwise, open_evals, peak_bound
 from .packet import _WINDOW_WIDTHS, PhysParams, SlitSpec, _check_count, sigma_t
 
 __all__ = [
@@ -152,16 +152,15 @@ def _resolve_dt(t0, t1, dt) -> float | None:
 def _velocity(params, slits, mask, x, t, node_floor):
     """Guidance velocity and nodal flags at array positions x, time t.
 
-    The nodal reference is the analytic in-phase peak bound at time t;
-    nodal entries come back with velocity 0 so positions stay finite,
-    and the flag tells the caller to abort those elements.  An empty
-    mask has peak bound 0, so _guidance flags every entry nodal.
+    The nodal reference is the analytic in-phase peak bound at time t.
+    Nodal entries come back NaN, as _guidance leaves them; _bundle
+    freezes every trajectory whose step met a nodal stage and reads
+    live trajectories only, so it never commits one.  An empty mask
+    has peak bound 0, so every entry is nodal.
     """
     evals = open_evals(params, slits, mask, x, t)
-    ref = peak_bound(params, slits, mask, t)
-    fs = _guidance(*_pairwise(evals, x), node_floor, ref, [ev.conv_velocity for ev in evals])
-    v = np.where(fs.nodal, 0.0, fs.v_tot)
-    return v, fs.nodal
+    fs = _field(evals, x, node_floor, peak_bound(params, slits, mask, t))
+    return fs.v_tot, fs.nodal
 
 
 @dataclass
@@ -357,6 +356,7 @@ def streamlines(
 ):
     """Integrate a bundle of start positions with full path recording.
 
+    x0s is a scalar or a 1-d array; more dimensions raise ValueError.
     Returns (times, paths, abort_steps): paths has shape (times.size,
     x0s.size) in both step modes, a scalar start counting as one, and
     paths[k, i] is position i at times[k], one row per accepted step;
@@ -366,6 +366,8 @@ def streamlines(
     ValueError: a NaN start's step error is NaN, which no tolerance rejects.
     """
     dt = _resolve_dt(t0, t1, dt)
+    if np.ndim(x0s) > 1:
+        raise ValueError("x0s must be a scalar or a 1-d array")
     if not np.isfinite(x0s).all():
         raise ValueError("x0s must be finite")
     res = _bundle(params, slits, mask, x0s, t0, t1, dt, node_floor, record=True)

@@ -10,6 +10,8 @@ modes against one that sums every mode in every block.
 """
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -422,6 +424,23 @@ def test_package_import_loads_no_scipy():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_package_namespace_is_the_union_of_the_modules_all():
+    """Each module's __all__ is the one list of its public names, and the
+    package republishes each name as its defining module's own object."""
+    modules = ("channels", "errors", "field", "oracle", "packet", "sorkin", "trajectories")
+    listed = set()
+    for name in modules:
+        listed.update(importlib.import_module(f"path_excitation.{name}").__all__)
+    public = {
+        n for n in dir(path_excitation)
+        if not n.startswith("_") and not inspect.ismodule(getattr(path_excitation, n))
+    }
+    assert public == listed
+    for n in sorted(public):
+        obj = getattr(path_excitation, n)
+        assert obj is getattr(sys.modules[obj.__module__], n), n
 
 
 def test_no_production_module_imports_channels():

@@ -197,6 +197,25 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="x0s must be finite"):
             streamlines(P, SYMMETRIC, BOTH, [-1.0, bad, 1.0], 0.001, 2.0, dt)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: streamlines(P, SYMMETRIC, BOTH, [[0.0, 1.0]], 0.001, 2.0),
+            lambda: streamlines(P, SYMMETRIC, BOTH, np.zeros((2, 2)), 0.001, 2.0, 0.01),
+            lambda: integrate(P, SYMMETRIC, BOTH, [0.5, 1.0], 0.001, 2.0),
+        ],
+        ids=["row", "square", "integrate"],
+    )
+    def test_rejects_starts_of_more_than_one_dimension(self, monkeypatch, call):
+        # Such starts once mixed shapes: a (1, 2) start gave (40, 2)
+        # paths but (1, 2) abort steps, and (2, 2) failed in the recording.
+        def never(*args, **kwargs):
+            raise AssertionError("a start of more than one dimension reached the integrator")
+
+        monkeypatch.setattr(trajectories, "_bundle", never)
+        with pytest.raises(ValueError, match="x0s must be a scalar or a 1-d array"):
+            call()
+
     def test_bad_bins_rejected_before_integrating(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("a bad bins reached the integrator")
@@ -424,3 +443,30 @@ class TestControlledStepping:
         assert np.array_equal(rec.paths, np.stack(seen))
         assert np.array_equal(rec.x_final, plain.x_final)
         assert np.array_equal(rec.times, plain.times)
+
+
+@pytest.mark.parametrize("dt", [None, 0.02], ids=["dopri", "rk4"])
+def test_no_nodal_velocity_is_committed(monkeypatch, dt):
+    # Colliding packets under a coarse floor: 16 of 500 lines abort, 2
+    # on a node at the start and 14 mid-run, over 777 controlled or 200
+    # RK4 steps.  _velocity leaves the nodal velocities NaN; mapping them
+    # to 0 must move no time, position or abort.
+    floor = 0.01
+    x0 = quantile_initial(P, COLLIDING, BOTH, T0, 500)
+    velocity = trajectories._velocity
+    v, nodal = velocity(P, COLLIDING, BOTH, x0, T0, floor)
+    assert np.count_nonzero(nodal) == 2
+    assert np.isnan(v[nodal]).all() and np.isfinite(v[~nodal]).all()
+    nan_run = streamlines(P, COLLIDING, BOTH, x0, T0, 4.0, dt, floor)
+
+    def zeroed(*args):
+        v, nodal = velocity(*args)
+        return np.where(nodal, 0.0, v), nodal
+
+    monkeypatch.setattr(trajectories, "_velocity", zeroed)
+    zero_run = streamlines(P, COLLIDING, BOTH, x0, T0, 4.0, dt, floor)
+    times, paths, abort_steps = nan_run
+    assert times.size - 1 == (777 if dt is None else 200)
+    assert np.count_nonzero(abort_steps >= 0) == 16 and np.count_nonzero(abort_steps > 0) == 14
+    for a, b in zip(nan_run, zero_run):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
