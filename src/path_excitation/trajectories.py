@@ -174,8 +174,6 @@ class _BundleResult:
 
 
 def _crossings(x: np.ndarray) -> int:
-    if x.size < 2:
-        return 0
     return int(np.count_nonzero(np.diff(x) < -CROSSING_TOL))
 
 
@@ -358,15 +356,17 @@ def streamlines(
 
     x0s is a scalar or a 1-d array; more dimensions raise ValueError.
     Returns (times, paths, abort_steps): paths has shape (times.size,
-    x0s.size) in both step modes, a scalar start counting as one, and
-    paths[k, i] is position i at times[k], one row per accepted step;
-    abort_steps[i] is the index of the last accepted sample of an
-    aborted line, or -1 for a completed one.  Positions after the abort
-    index repeat the frozen value.  A start that is not finite raises
-    ValueError: a NaN start's step error is NaN, which no tolerance rejects.
+    x0s.size) in both step modes and abort_steps shape (x0s.size,), a
+    scalar start counting as one, and paths[k, i] is position i at
+    times[k], one row per accepted step; abort_steps[i] is the index of
+    the last accepted sample of an aborted line, or -1 for a completed
+    one.  Positions after the abort index repeat the frozen value.  A
+    start that is not finite raises ValueError: a NaN start's step error
+    is NaN, which no tolerance rejects.
     """
     dt = _resolve_dt(t0, t1, dt)
-    if np.ndim(x0s) > 1:
+    x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
+    if x0s.ndim > 1:
         raise ValueError("x0s must be a scalar or a 1-d array")
     if not np.isfinite(x0s).all():
         raise ValueError("x0s must be finite")
@@ -398,18 +398,14 @@ def ensemble(
     x0 = np.sort(sample_initial(params, slits, mask, t0, n, seed))
     res = _bundle(params, slits, mask, x0, t0, t1, dt, node_floor)
     survivors = res.x_final[res.abort_step < 0]
-    if survivors.size:
-        try:
-            counts, edges = np.histogram(survivors, bins=bins)
-        except ValueError:  # too many bins where numpy's range has no room for them
-            if not np.isfinite(survivors).all():
-                raise
-            pad = bins * np.spacing(np.abs(survivors).max())  # bins >= 2 ulps wide
-            lo, hi = survivors.min() - pad, survivors.max() + pad
-            counts, edges = np.histogram(survivors, bins=bins, range=(lo, hi))
-    else:
-        counts = np.zeros(bins, dtype=int)
-        edges = np.linspace(0.0, 1.0, bins + 1)
+    try:  # no survivors histogram as zero counts on linspace(0, 1, bins + 1)
+        counts, edges = np.histogram(survivors, bins=bins)
+    except ValueError:  # too many bins where numpy's range has no room for them
+        if not np.isfinite(survivors).all():
+            raise
+        pad = bins * np.spacing(np.abs(survivors).max())  # bins >= 2 ulps wide
+        lo, hi = survivors.min() - pad, survivors.max() + pad
+        counts, edges = np.histogram(survivors, bins=bins, range=(lo, hi))
     return EnsembleResult(
         bin_edges=edges,
         counts=counts,

@@ -266,8 +266,14 @@ def test_dark_field_aborts_at_the_start(n_slits, dt):
 
 @pytest.mark.parametrize("dt", [None, 0.5])
 def test_streamlines_scalar_start_gives_one_column(dt):
-    times, paths, _ = streamlines(P, SINGLE, ONE, 1.0, 0.0, 1.0, dt)
+    """A scalar start returns exactly what a one-element list does, so
+    abort_steps has the one entry that indexes its one paths column."""
+    times, paths, abort_steps = scalar = streamlines(P, SINGLE, ONE, 1.0, 0.0, 1.0, dt)
     assert paths.shape == (times.size, 1)
+    assert abort_steps.shape == (1,)
+    listed = streamlines(P, SINGLE, ONE, [1.0], 0.0, 1.0, dt)
+    for a, b in zip(scalar, listed):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestEnsemble:
@@ -306,6 +312,13 @@ class TestEnsemble:
         x = res.bin_edges[0] + 0.5
         assert res.counts.sum() == 1
         assert np.array_equal(res.bin_edges, np.histogram([x], bins=4)[1])
+
+    def test_no_survivors_histogram_on_the_unit_interval(self):
+        # a floor of twice the in-phase bound flags every start nodal
+        res = ensemble(P, SYMMETRIC, BOTH, 1e-3, 1.0, 50, bins=7, node_floor=2.0)
+        assert res.n_aborted == 50
+        assert res.counts.dtype == np.int64 and np.array_equal(res.counts, np.zeros(7))
+        assert res.bin_edges.tobytes() == np.linspace(0.0, 1.0, 8).tobytes()
 
     def test_seed_changes_histogram(self):
         a = ensemble(P, SINGLE, ONE, 1e-3, 1.0, 400, dt=0.05, bins=30, seed=0)
