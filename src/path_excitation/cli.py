@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .field import DEFAULT_NODE_FLOOR, GridSpec, SlitMask, _check_node_floor, _grid_blocks
+from .field import _BLOCK, DEFAULT_NODE_FLOOR, GridSpec, SlitMask, _check_node_floor, _grid_blocks
 from .oracle import VERIFY_TOL, equivalence_report
 from .packet import PhysParams, SlitSpec, _check_count, _check_domain, sigma_t
 from .sorkin import SORKIN_TOL, sumrule_report, sumrule_verdict
@@ -248,24 +248,21 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-_CSV_BLOCK = 1024  # rows formatted by one `%` operation
-
-
 def _write_csv(path: str, header: str, blocks) -> None:
     """Write blocks of equal-length columns as CSV rows under header.
 
     Each item of blocks is a list of array columns holding the next rows,
     so a caller can stream rows block by block.  Bool and integer columns
     are written "%d", every other column "%.17g" (nan and inf spelled
-    nan, inf, -inf).  Rows are formatted in runs of _CSV_BLOCK, one `%`
-    per run, and written as they are made.
+    nan, inf, -inf).  Rows are formatted in runs of field._BLOCK, one
+    `%` per run, and written as they are made.
     """
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for columns in blocks:
             row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns) + "\n"
-            for start in range(0, len(columns[0]), _CSV_BLOCK):
-                block = np.column_stack([c[start:start + _CSV_BLOCK] for c in columns])
+            for start in range(0, len(columns[0]), _BLOCK):
+                block = np.column_stack([c[start:start + _BLOCK] for c in columns])
                 fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -295,9 +292,6 @@ def _write_streamlines(cfg: RunConfig, path: str) -> None:
 
 
 _VALUES = "<values>"  # stands in for an order's values in the encoded layout
-# Values per chunk of sorkin.json: a chunk's table of distinct spellings
-# stays this small however long an order is.
-_JSON_BLOCK = 4096
 
 
 def _write_sorkin(path: str, payload: dict) -> None:
@@ -305,14 +299,15 @@ def _write_sorkin(path: str, payload: dict) -> None:
 
     Each payload["orders"][k]["values"] is a non-empty float64 array.
     The indenting encoder is pure Python, so those arrays are written
-    _JSON_BLOCK values at a time instead.  A chunk's distinct values,
-    keyed by bit pattern so that 0.0 and -0.0 stay apart, are spelled by
-    one C-encoder call, as the indenting encoder spells them (repr, NaN,
-    Infinity), and the chunk is joined from those spellings with an item
-    separator that lays the items out 8 spaces deep as the indenting
-    encoder does, so the bytes are the same.  Orders 3 and up are the
-    roundoff of sums that vanish identically, so their chunks hold few
-    distinct values.
+    field._BLOCK values at a time instead, which keeps a chunk's table
+    of distinct spellings that small however long an order is.  A
+    chunk's distinct values, keyed by bit pattern so that 0.0 and -0.0
+    stay apart, are spelled by one C-encoder call, as the indenting
+    encoder spells them (repr, NaN, Infinity), and the chunk is joined
+    from those spellings with an item separator that lays the items out
+    8 spaces deep as the indenting encoder does, so the bytes are the
+    same.  Orders 3 and up are the roundoff of sums that vanish
+    identically, so their chunks hold few distinct values.
     """
     orders = payload["orders"]
     layout = {**payload, "orders": [{**o, "values": _VALUES} for o in orders]}
@@ -324,9 +319,9 @@ def _write_sorkin(path: str, payload: dict) -> None:
         for order, piece in zip(orders, pieces[1:]):
             values = order["values"]
             fh.write("[" + pad)
-            for start in range(0, len(values), _JSON_BLOCK):
+            for start in range(0, len(values), _BLOCK):
                 bits, inverse = np.unique(
-                    values[start:start + _JSON_BLOCK].view(np.int64), return_inverse=True
+                    values[start:start + _BLOCK].view(np.int64), return_inverse=True
                 )
                 spelled = json.dumps(bits.view(float).tolist())[1:-1].split(", ")
                 fh.write((sep if start else "") + sep.join([spelled[i] for i in inverse.tolist()]))
@@ -357,7 +352,7 @@ def _run_trajectories(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _run_sorkin(cfg: RunConfig, out_dir: str) -> int:
-    reports = sumrule_report(cfg.params, list(cfg.slits), cfg.grid)
+    reports = _checked("", sumrule_report, cfg.params, list(cfg.slits), cfg.grid)
     violation, passed = sumrule_verdict(reports)
     payload = {
         "scale": reports[0].scale,
@@ -380,17 +375,8 @@ def _run_sorkin(cfg: RunConfig, out_dir: str) -> int:
 
 def _run_verify(cfg: RunConfig, out_dir: str) -> int:
     report = equivalence_report(cfg.params, list(cfg.slits), cfg.mask, cfg.grid, cfg.node_floor)
-    payload = {
-        "max_abs_dev_p": report.max_abs_dev_p,
-        "peak_p": report.peak_p,
-        "max_abs_dev_j": report.max_abs_dev_j,
-        "peak_j": report.peak_j,
-        "max_rel_dev_v": report.max_rel_dev_v,
-        "n_nodal": report.n_nodal,
-        "tolerance": VERIFY_TOL,
-        "passed": report.passed,
-        "grid": _grid_json(report.grid),
-    }
+    payload = {**asdict(report), "tolerance": VERIFY_TOL, "passed": report.passed}
+    payload["grid"] = _grid_json(cfg.grid)
     _write(os.path.join(out_dir, "verify.json"), json.dumps(payload, indent=2) + "\n")
     return 0 if report.passed else 3
 

@@ -27,8 +27,15 @@ class DegenerateDensity(ValueError):
 
 
 class ParseError(ValueError):
-    """Raised for malformed or unrecognized run configuration input."""
+    """Raised for malformed or unrecognized run configuration input.
+
+    Only the CLI raises it; the library modules never name it.
+    """
 
 
 class ValidationError(ValueError):
-    """Raised when a parsed configuration violates a model invariant."""
+    """Raised when a parsed configuration violates a model invariant.
+
+    Only the CLI raises it, from a cap or from a library rule's
+    ValueError through cli._checked; the library modules never name it.
+    """

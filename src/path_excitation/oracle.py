@@ -93,16 +93,16 @@ class EquivalenceReport:
     points (0 when every such v is exactly 0).  Points where both routes
     give NaN (0/0 on both sides) are left out.  A common velocity scale
     keeps the metric well-conditioned where v crosses zero, which a
-    pointwise ratio is not.
+    pointwise ratio is not.  The fields, in order, are the measured keys
+    of the CLI's verify.json.
     """
 
     max_abs_dev_p: float
+    peak_p: float
     max_abs_dev_j: float
+    peak_j: float
     max_rel_dev_v: float
     n_nodal: int
-    grid: GridSpec
-    peak_p: float
-    peak_j: float
 
     @property
     def passed(self) -> bool:
@@ -345,10 +345,9 @@ def equivalence_report(
 
     return EquivalenceReport(
         max_abs_dev_p=dev_p,
+        peak_p=peak_p,
         max_abs_dev_j=dev_j,
+        peak_j=peak_j,
         max_rel_dev_v=dv / scale if scale != 0.0 else 0.0,
         n_nodal=n_nodal,
-        grid=grid,
-        peak_p=peak_p,
-        peak_j=peak_j,
     )

@@ -19,7 +19,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ValidationError
 from .field import _BLOCK, GridSpec, SlitMask, _pairwise, _subset_table, open_evals
 from .packet import PhysParams, SlitSpec
 
@@ -105,15 +104,15 @@ def sumrule_report(
     three and above should be zero to rounding (see sumrule_verdict).
 
     The grid is evaluated in blocks, so only one block's subset
-    intensities are held at a time.  Fewer than two slits, or a slit
-    count whose 3^n x grid points exceeds _MAX_TERMS, raise
-    ValidationError before anything is evaluated.
+    intensities are held at a time.  Its only ValueErrors are raised
+    before anything is evaluated: fewer than two slits, or a slit count
+    whose 3^n x grid points exceeds _MAX_TERMS.
     """
     n = len(slits)
     if n < 2:
-        raise ValidationError("sorkin requires at least two slits")
+        raise ValueError("sorkin requires at least two slits")
     if 3**n * grid.n_points > _MAX_TERMS:
-        raise ValidationError(
+        raise ValueError(
             f"slits: {n} slits on {grid.n_points} grid points need 3^{n} x {grid.n_points}"
             f" = {3**n * grid.n_points} inclusion-exclusion terms, over the budget of {_MAX_TERMS}"
         )

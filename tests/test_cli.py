@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ from artifact_digests import run
 from path_excitation import cli, field, sorkin
 from path_excitation.cli import echo_config, main, parse_config, run_subcommand
 from path_excitation.errors import ParseError, ValidationError
+from path_excitation.oracle import EquivalenceReport
 from path_excitation.packet import PhysParams, SlitSpec
 
 
@@ -156,6 +157,10 @@ class TestVerifyCommand:
         assert payload["max_rel_dev_v"] <= 1e-10
         assert payload["max_abs_dev_p"] <= 1e-10 * payload["peak_p"]
         assert payload["max_abs_dev_j"] <= 1e-10 * payload["peak_j"]
+        # the measured keys are the report's fields, in field order
+        names = [f.name for f in fields(EquivalenceReport)]
+        assert list(payload) == names + ["tolerance", "passed", "grid"]
+        assert payload["grid"] == {"xmin": -15.0, "xmax": 15.0, "n": 2001, "t": 2.0}
 
     # v crosses zero on both grids, where a pointwise relative velocity
     # metric divides roundoff by roundoff.
@@ -572,7 +577,7 @@ class TestWriters:
     SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1, -2.5]
 
     @pytest.mark.parametrize(
-        "n_rows", [1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1], ids=["one", "block", "block+1"]
+        "n_rows", [1, cli._BLOCK, cli._BLOCK + 1], ids=["one", "block", "block+1"]
     )
     def test_csv_matches_per_value_formatting(self, tmp_path, n_rows):
         floats = np.resize(np.array(self.SPECIAL), n_rows)
@@ -588,12 +593,12 @@ class TestWriters:
         assert path.read_bytes() == ("a,b,c,d\n" + "".join(r + "\n" for r in rows)).encode()
 
     def test_csv_blocks_write_the_bytes_of_one_block(self, tmp_path):
-        n_rows = 3 * cli._CSV_BLOCK + 5
+        n_rows = 3 * cli._BLOCK + 5
         floats = np.resize(np.array(self.SPECIAL), n_rows)
         flags = np.arange(n_rows) % 3 == 0
         whole, ragged = tmp_path / "whole.csv", tmp_path / "ragged.csv"
         cli._write_csv(str(whole), "a,b", [[floats, flags]])
-        cuts = [0, 1, 1, cli._CSV_BLOCK + 3, 2 * cli._CSV_BLOCK, n_rows]
+        cuts = [0, 1, 1, cli._BLOCK + 3, 2 * cli._BLOCK, n_rows]
         blocks = ([floats[a:b], flags[a:b]] for a, b in zip(cuts, cuts[1:]))
         cli._write_csv(str(ragged), "a,b", blocks)
         assert ragged.read_bytes() == whole.read_bytes()
@@ -620,16 +625,16 @@ class TestWriters:
     # value that fills chunk 1, so it straddles the boundary; then a
     # 1-value tail.
     EDGES = np.concatenate([
-        np.resize(np.array([0.0, *SPECIAL, -np.nan]), cli._JSON_BLOCK - 1),
-        np.full(cli._JSON_BLOCK + 1, 1.0 / 3.0),
+        np.resize(np.array([0.0, *SPECIAL, -np.nan]), cli._BLOCK - 1),
+        np.full(cli._BLOCK + 1, 1.0 / 3.0),
         [-0.0],
     ])
 
     @pytest.mark.parametrize(
         "values",
         [
-            np.resize(np.array(SPECIAL), cli._JSON_BLOCK),
-            np.resize(np.array(SPECIAL), 2 * cli._JSON_BLOCK + 1),
+            np.resize(np.array(SPECIAL), cli._BLOCK),
+            np.resize(np.array(SPECIAL), 2 * cli._BLOCK + 1),
             EDGES,
         ],
         ids=["block", "2block+1", "edges"],
@@ -650,7 +655,7 @@ class TestWriters:
             SlitSpec(center=2.0, sigma0=0.9, drift=0.1, weight=1.3, phase0=-2.1),
             SlitSpec(center=5.5, sigma0=1.2, drift=0.0, weight=0.5, phase0=0.4),
         ]
-        grid = field.GridSpec(-12.0, 14.0, 2 * cli._JSON_BLOCK + 17, 1.5)
+        grid = field.GridSpec(-12.0, 14.0, 2 * cli._BLOCK + 17, 1.5)
         reports = sorkin.sumrule_report(PhysParams(), slits, grid)
         payload = {"scale": reports[0].scale, "orders": [
             {"order": r.order, "max_abs": r.max_abs, "values": r.values} for r in reports
