@@ -38,9 +38,9 @@ MAX_STREAMLINE_ROWS = 201
 # by 40 B for sorkin on 5 slits, the most its work budget admits here,
 # so this many points stay under about 0.4 GB.
 _MAX_GRID_POINTS = 10**7
-# An ensemble holds about 270 B per trajectory with 2 slits and 520 B
-# with 8 (peak RSS slope from 5e4 to 2e5 trajectories), so this many
-# stay under about 0.5 GB.
+# An ensemble holds about 245 B per trajectory with 2 slits and 485 B
+# with 8, mostly its bundle's workspace (peak RSS slope from 5e4 to 2e5
+# trajectories), so this many stay under about 0.5 GB.
 _MAX_TRAJECTORIES = 1_000_000
 # A histogram holds about 57 B per bin (peak RSS slope from 1e6 to 3e6
 # bins), and more bins than the trajectory cap resolve nothing.

@@ -29,7 +29,18 @@ from itertools import combinations
 import numpy as np
 
 from .errors import MismatchedPoint
-from .packet import PacketEval, PhysParams, SlitSpec, _check_count, _check_time, eval_packet, sigma_t
+from .packet import (
+    PacketEval,
+    PhysParams,
+    SlitSpec,
+    _check_count,
+    _check_time,
+    _floats,
+    _packet,
+    _unwrap,
+    eval_packet,
+    sigma_t,
+)
 
 __all__ = [
     "GridSpec",
@@ -135,21 +146,38 @@ def _check_node_floor(node_floor: float) -> None:
         raise ValueError("node_floor >= 0 violated")
 
 
-def _guidance(p, j, node_floor, peak, conv) -> FieldSample:
+def _guidance(p, j, node_floor, peak, conv, ws=None) -> FieldSample:
     """The one nodal and guidance rule: FieldSample from totals p, j.
 
     A point is nodal when p < node_floor * peak, and every point is when
     the reference peak is not positive (NaN included): v = j / p needs
     density.  Nodal points get v = NaN.  conv holds the open slits'
     convective velocities; one slit carries no interference, so its own
-    is returned verbatim at live points, otherwise v = j / p.
+    is returned verbatim at live points, otherwise v = j / p.  v and the
+    nodal flags are written into ws.v and ws.nodal, or into fresh arrays
+    without a workspace.
     """
     _check_node_floor(node_floor)
-    nodal = p < node_floor * peak if peak > 0.0 else np.ones(np.shape(p), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_raw = np.broadcast_to(conv[0], p.shape) if len(conv) == 1 else j / np.where(nodal, 1.0, p)
-        v_tot = np.where(nodal, np.nan, v_raw)
-    return FieldSample(p_tot=p, j_tot=j, v_tot=v_tot, nodal=nodal)
+    fresh = ws is None
+    if fresh:
+        v, nodal = np.empty(np.shape(p)), np.empty(np.shape(p), dtype=bool)
+    else:
+        v, nodal = ws.v, ws.nodal
+    if peak > 0.0:
+        np.less(p, node_floor * peak, out=nodal)
+    else:
+        nodal.fill(True)
+    some = nodal.any()
+    if len(conv) == 1:
+        np.copyto(v, conv[0])
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(j, p, out=v, where=~nodal if some else True)
+    if some:
+        np.copyto(v, np.nan, where=nodal)
+    if fresh:
+        v, nodal = _unwrap(v), _unwrap(nodal)
+    return FieldSample(p_tot=p, j_tot=j, v_tot=v, nodal=nodal)
 
 
 def open_evals(
@@ -159,47 +187,105 @@ def open_evals(
     return [eval_packet(params, s, x, t) for s in mask.select(slits)]
 
 
-def _pair_products(evals: list[PacketEval]):
-    """Amplitudes and per-pair products of the pairwise closed form.
+_SCRATCH = 5  # the scratch arrays _pairwise, and before it _packet, write through
 
-    Returns (amp, pairs): amp[i] is R_i, and pairs yields, for i < k in
-    combinations order (the closed form's summation order), (i, k,
-    cross, cphi, sphi) with cross = R_i R_k and cphi, sphi the cosine
-    and sine of phi_ik from the carriers' cos and sin.  The evaluations
-    must share one (x, t), as open_evals builds them; nothing checks it.
+
+@dataclass(frozen=True)
+class _Workspace:
+    """Buffers that one evaluation of the field at n points writes into.
+
+    packets[i] takes open slit i's five PacketEval arrays, scratch the
+    temporaries of packet._packet and of _pairwise, p and j the totals,
+    and v and nodal _guidance's output.  Stages that share packets,
+    scratch, p and j but not v and nodal can keep each other's output.
     """
-    amp = [np.asarray(ev.amplitude, dtype=float) for ev in evals]
 
-    def pairs():
-        for i, k in combinations(range(len(evals)), 2):
-            a, b = evals[i], evals[k]
-            cphi = a.cos * b.cos + a.sin * b.sin
-            sphi = a.sin * b.cos - a.cos * b.sin
-            yield i, k, amp[i] * amp[k], cphi, sphi
-
-    return amp, pairs()
+    packets: list[list[np.ndarray]]
+    scratch: list[np.ndarray]
+    p: np.ndarray
+    j: np.ndarray
+    v: np.ndarray
+    nodal: np.ndarray
 
 
-def _pairwise(evals: list[PacketEval], x):
+def _workspace(n: int, n_open: int) -> _Workspace:
+    """An uninitialised _Workspace for n points and n_open open slits."""
+    return _Workspace(
+        packets=[_floats(n, 5) for _ in range(n_open)],
+        scratch=_floats(n, _SCRATCH),
+        p=np.empty(n),
+        j=np.empty(n),
+        v=np.empty(n),
+        nodal=np.empty(n, dtype=bool),
+    )
+
+
+def _open_evals(params, slits, mask, x, t, ws) -> list[PacketEval]:
+    """open_evals at a float array x and a checked t, written into ws.packets."""
+    open_slits = mask.select(slits)
+    return [_packet(params, s, x, t, out, ws.scratch) for s, out in zip(open_slits, ws.packets)]
+
+
+def _pair_products(evals: list[PacketEval], scratch):
+    """Per-pair products of the pairwise closed form, written into scratch.
+
+    Yields, for i < k in combinations order (the closed form's summation
+    order), (i, k, cross, cphi, sphi) with cross = R_i R_k and cphi,
+    sphi the cosine and sine of phi_ik from the carriers' cos and sin.
+    cross, cphi and sphi are scratch[:3], overwritten by the next pair,
+    and scratch[3] is overwritten too.  The evaluations must share one
+    (x, t), as open_evals builds them; nothing checks it.
+    """
+    cross, cphi, sphi, tmp = scratch[:4]
+    for i, k in combinations(range(len(evals)), 2):
+        a, b = evals[i], evals[k]
+        np.multiply(a.cos, b.cos, out=cphi)
+        np.multiply(a.sin, b.sin, out=tmp)
+        cphi += tmp
+        np.multiply(a.sin, b.cos, out=sphi)
+        np.multiply(a.cos, b.sin, out=tmp)
+        sphi -= tmp
+        np.multiply(a.amplitude, b.amplitude, out=cross)
+        yield i, k, cross, cphi, sphi
+
+
+def _pairwise(evals: list[PacketEval], x, ws=None):
     """Pairwise-closed-form (P_tot, J_tot) of evals at x; fixed summation order.
 
     Both start from zeros shaped like x, so no evals sum to zeros.  The
     terms of P_tot are spelled as _subset_table spells them, which keeps
-    its subset intensities bit-identical to this sum.
+    its subset intensities bit-identical to this sum.  The totals are
+    written into ws.p and ws.j, through ws.scratch, or into fresh arrays
+    without a workspace.
     """
-    amp, pairs = _pair_products(evals)
-    v = [ev.conv_velocity for ev in evals]
-    u = [ev.diff_velocity for ev in evals]
-
-    p = np.zeros(np.shape(x))
-    j = np.zeros(np.shape(x))
-    for a, vi in zip(amp, v):
-        p = p + a * a
-        j = j + a * a * vi
-    for i, k, cross, cphi, sphi in pairs:
-        p = p + 2.0 * cross * cphi
-        j = j + cross * ((v[i] + v[k]) * cphi + (u[k] - u[i]) * sphi)
-    return p, j
+    fresh = ws is None
+    if fresh:
+        p, j, *scratch = _floats(np.shape(x), 2 + _SCRATCH)
+    else:
+        p, j, scratch = ws.p, ws.j, ws.scratch
+    t1, t2 = scratch[3:5]
+    p.fill(0.0)
+    j.fill(0.0)
+    for ev in evals:
+        np.multiply(ev.amplitude, ev.amplitude, out=t1)  # R_i^2, shared by P and J
+        p += t1
+        t1 *= ev.conv_velocity
+        j += t1
+    for i, k, cross, cphi, sphi in _pair_products(evals, scratch):
+        a, b = evals[i], evals[k]
+        # P += 2 R_i R_k cos(phi_ik)
+        np.multiply(2.0, cross, out=t1)
+        t1 *= cphi
+        p += t1
+        # J += R_i R_k ((v_i + v_k) cos(phi_ik) + (u_k - u_i) sin(phi_ik))
+        np.add(a.conv_velocity, b.conv_velocity, out=t1)
+        t1 *= cphi
+        np.subtract(b.diff_velocity, a.diff_velocity, out=t2)
+        t2 *= sphi
+        t1 += t2
+        t1 *= cross
+        j += t1
+    return (_unwrap(p), _unwrap(j)) if fresh else (p, j)
 
 
 def _subset_table(evals: list[PacketEval], x) -> dict[tuple[int, ...], np.ndarray]:
@@ -211,8 +297,8 @@ def _subset_table(evals: list[PacketEval], x) -> dict[tuple[int, ...], np.ndarra
     in combinations order) from zeros shaped like x, so each entry is
     bit-identical to _pairwise of T's evaluations.
     """
-    amp, pairs = _pair_products(evals)
-    squares = [a * a for a in amp]
+    squares = [np.multiply(ev.amplitude, ev.amplitude) for ev in evals]
+    pairs = _pair_products(evals, _floats(np.shape(x), 4))
     fringes = {(i, k): 2.0 * cross * cphi for i, k, cross, cphi, _ in pairs}
     table = {}
     for size in range(1, len(evals) + 1):
@@ -226,9 +312,13 @@ def _subset_table(evals: list[PacketEval], x) -> dict[tuple[int, ...], np.ndarra
     return table
 
 
-def _field(evals: list[PacketEval], x, node_floor, peak) -> FieldSample:
-    """The one route from evaluations at x to a FieldSample: _pairwise totals under _guidance."""
-    return _guidance(*_pairwise(evals, x), node_floor, peak, [ev.conv_velocity for ev in evals])
+def _field(evals: list[PacketEval], x, node_floor, peak, ws=None) -> FieldSample:
+    """The one route from evaluations at x to a FieldSample: _pairwise totals under _guidance.
+
+    With a workspace every array is written into it; without, they are fresh.
+    """
+    p, j = _pairwise(evals, x, ws)
+    return _guidance(p, j, node_floor, peak, [ev.conv_velocity for ev in evals], ws)
 
 
 def intensity(evals: list[PacketEval]) -> np.ndarray:

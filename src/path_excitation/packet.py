@@ -25,7 +25,7 @@ them where a run will, and the config parser applies it to every slit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -136,32 +136,71 @@ def eval_packet(params: PhysParams, slit: SlitSpec, x, t: float) -> PacketEval:
     """Evaluate envelope, phase carrier, and both velocity moments at (x, t)."""
     t = _check_time(t)
     x = np.asarray(x, dtype=float)
+    ev = _packet(params, slit, x, t, _floats(x.shape, 5), _floats(x.shape, _PACKET_SCRATCH))
+    return ev if x.ndim else replace(ev, **{f: _unwrap(getattr(ev, f)) for f in _PACKET_OUTPUTS})
+
+
+def _floats(shape, k: int) -> list[np.ndarray]:
+    """k fresh float arrays of the given shape, for a kernel to write into."""
+    return [np.empty(shape) for _ in range(k)]
+
+
+def _unwrap(a: np.ndarray):
+    """A 0-d result as the numpy scalar numpy's own operators give; any other array as is."""
+    return a[()] if a.ndim == 0 else a
+
+
+_PACKET_SCRATCH = 3  # the scratch arrays _packet writes through
+
+
+def _packet(params: PhysParams, slit: SlitSpec, x: np.ndarray, t: float, out, scratch):
+    """eval_packet's formulas at a float array x and a checked t, written in place.
+
+    out holds five arrays shaped like x, which become the amplitude,
+    cos, sin, conv_velocity and diff_velocity of the result, and scratch
+    at least _PACKET_SCRATCH more, overwritten.  Every operation is the
+    one the formulas spell, in their order (a * b and a + b commute
+    exactly), so the bits do not depend on where the buffers come from.
+    """
+    amp, cos, sin, v, u = out
+    xc, xi, theta = scratch[:_PACKET_SCRATCH]
     d = params.diffusion
     s0sq = slit.sigma0**2
     ssq = s0sq + (d * t) ** 2 / s0sq  # sigma(t)^2
-    xi = x - slit.center - slit.drift * t
 
-    amp = slit.weight * (2.0 * np.pi * ssq) ** -0.25 * np.exp(-(xi * xi) / (4.0 * ssq))
-    theta = (
-        xi * xi * d * t / (4.0 * s0sq * ssq)
-        + params.mass * slit.drift * (x - slit.center) / params.hbar
-        - params.mass * slit.drift**2 * t / (2.0 * params.hbar)
-        + slit.phase0
-        - 0.5 * np.arctan(d * t / s0sq)
-    )
+    np.subtract(x, slit.center, out=xc)
+    np.subtract(xc, slit.drift * t, out=xi)  # xi = x - center - drift t
+    np.multiply(xi, xi, out=theta)
+    # weight (2 pi sigma^2)^(-1/4) exp(-xi^2 / (4 sigma^2)); -a / b is a / -b exactly
+    np.divide(theta, -(4.0 * ssq), out=amp)
+    np.exp(amp, out=amp)
+    amp *= slit.weight * (2.0 * np.pi * ssq) ** -0.25
+    # theta = xi^2 D t / (4 s0^2 sigma^2) + m drift (x - center) / hbar
+    #         - m drift^2 t / (2 hbar) + phase0 - arctan(D t / s0^2) / 2
+    theta *= d
+    theta *= t
+    theta /= 4.0 * s0sq * ssq
+    xc *= params.mass * slit.drift
+    xc /= params.hbar
+    theta += xc
+    theta -= params.mass * slit.drift**2 * t / (2.0 * params.hbar)
+    theta += slit.phase0
+    theta -= 0.5 * np.arctan(d * t / s0sq)
     # finite where the amplitude underflows to 0 (theta may overflow there)
-    theta = np.where(amp > 0.0, theta, 0.0)
-    v = slit.drift + xi * d * d * t / (s0sq * ssq)
-    u = (params.hbar / params.mass) * xi / (2.0 * ssq)
-    return PacketEval(
-        amplitude=amp,
-        cos=np.cos(theta),
-        sin=np.sin(theta),
-        conv_velocity=v,
-        diff_velocity=u,
-        x=x,
-        t=t,
-    )
+    live = amp > 0.0
+    if not live.all():
+        np.copyto(theta, 0.0, where=~live)
+    np.cos(theta, out=cos)
+    np.sin(theta, out=sin)
+    # v = drift + xi D^2 t / (s0^2 sigma^2), u = (hbar / m) xi / (2 sigma^2)
+    np.multiply(xi, d, out=v)
+    v *= d
+    v *= t
+    v /= s0sq * ssq
+    v += slit.drift
+    np.multiply(params.hbar / params.mass, xi, out=u)
+    u /= 2.0 * ssq
+    return PacketEval(amplitude=amp, cos=cos, sin=sin, conv_velocity=v, diff_velocity=u, x=x, t=t)
 
 
 def psi(params: PhysParams, slit: SlitSpec, x, t: float) -> np.ndarray:

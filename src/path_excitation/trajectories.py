@@ -18,6 +18,11 @@ trajectory whose accepted step met a nodal stage, or that starts on a
 node, aborts, frozen at its last accepted position, rather than
 stepping across a node.
 
+Each bundle owns one workspace, sized to it and to the open slits:
+every stage writes its packet evaluations, pairwise sums, guidance
+velocity and stage positions into it, so stepping allocates nothing
+per stage and the bits are those of the allocating field functions.
+
 Ensembles sample initial positions from the normalized t0 intensity by
 inverse-CDF lookup on a tabulated grid, integrate the position-sorted
 ensemble as one bundle, and histogram the endpoints.  Adjacent sorted
@@ -26,13 +31,22 @@ pairs feed the no-crossing count at every accepted step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import DegenerateDensity
-from .field import DEFAULT_NODE_FLOOR, SlitMask, _field, _pairwise, open_evals, peak_bound
+from .field import (
+    DEFAULT_NODE_FLOOR,
+    SlitMask,
+    _field,
+    _open_evals,
+    _pairwise,
+    _workspace,
+    open_evals,
+    peak_bound,
+)
 from .packet import _WINDOW_WIDTHS, PhysParams, SlitSpec, _check_count, sigma_t
 
 __all__ = [
@@ -51,6 +65,8 @@ _SAMPLER_POINTS = 8192
 _FLOOR_STEPS = 2000  # the floor step of the controlled path is (t1 - t0)/2000
 _MAX_STEPS = 100_000  # an explicit dt may take at most this many steps
 _STEP_TOL = 1e-10  # accepted |x5 - x4|, absolute, worst live trajectory
+_RECORD_ROWS = 64  # rows a controlled recording starts with; it doubles when full
+_POOL = 7  # stage outputs a bundle keeps: RK4's k1..k4, Dormand-Prince's k1..k7
 
 # Dormand-Prince 5(4): nodes, stage matrix rows for stages 2..7, and the
 # error weights b5 - b4.  Row 7 is b5, so stage 7 sits at the new point.
@@ -149,17 +165,22 @@ def _resolve_dt(t0, t1, dt) -> float | None:
     return dt
 
 
-def _velocity(params, slits, mask, x, t, node_floor):
+def _velocity(params, slits, mask, x, t, node_floor, ws=None):
     """Guidance velocity and nodal flags at array positions x, time t.
 
     The nodal reference is the analytic in-phase peak bound at time t.
     Nodal entries come back NaN, as _guidance leaves them; _bundle
     freezes every trajectory whose step met a nodal stage and reads
     live trajectories only, so it never commits one.  An empty mask
-    has peak bound 0, so every entry is nodal.
+    has peak bound 0, so every entry is nodal.  With a field._Workspace
+    sized to x and the open slits, every array is written into it and
+    (v, nodal) are ws.v and ws.nodal; without, they are fresh.
     """
-    evals = open_evals(params, slits, mask, x, t)
-    fs = _field(evals, x, node_floor, peak_bound(params, slits, mask, t))
+    if ws is None:
+        evals = open_evals(params, slits, mask, x, t)
+    else:
+        evals = _open_evals(params, slits, mask, x, t, ws)
+    fs = _field(evals, x, node_floor, peak_bound(params, slits, mask, t), ws)
     return fs.v_tot, fs.nodal
 
 
@@ -177,73 +198,120 @@ def _crossings(x: np.ndarray) -> int:
     return int(np.count_nonzero(np.diff(x) < -CROSSING_TOL))
 
 
+def _combine(coeffs, ks, acc, tmp) -> np.ndarray:
+    """sum(c * k for c, k in zip(coeffs, ks) if c), written into acc through tmp.
+
+    The sum runs in sum()'s order from sum()'s start 0, so a -0.0
+    total comes out +0.0 as it does from sum().
+    """
+    acc.fill(0.0)
+    for c, k in zip(coeffs, ks):
+        if c:
+            np.multiply(c, k, out=tmp)
+            acc += tmp
+    return acc
+
+
 def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, record=False) -> _BundleResult:
     """Step a bundle from t0 to t1: RK4 for an explicit dt, Dormand-Prince for None.
 
     The modes differ only in how they propose a step; the setup, the
     accepted-step rule and the recording are shared.  With record, paths
     holds one (len(times), x.size) row per accepted sample.
+
+    The bundle owns one workspace: every stage evaluates the field into
+    the shared buffers of field._Workspace and leaves its (v, nodal) in
+    one of _POOL slots, and the step sums are written in place, so a
+    stage allocates no array.  The sums run in the order of the
+    expressions in their comments, operation for operation.
     """
-
-    def velocity(x, t):
-        return _velocity(params, slits, mask, x, t, node_floor)
-
     x = np.array(x0, dtype=float)
+    shared = _workspace(x.size, len(mask.select(slits)))
+    # RK4's k1..k4 in slots 0..3; DP's k1..k7 in slots s..s+6 mod _POOL, where a
+    # rejected step keeps s and an accepted one moves it to k7, the next k1.
+    pool = [shared] + [
+        replace(shared, v=np.empty(x.size), nodal=np.empty(x.size, dtype=bool))
+        for _ in range(_POOL - 1)
+    ]
+    x_new = np.empty(x.size)
+    acc, tmp = shared.scratch[:2]  # the step sums run between stages, when scratch is free
+    hit, live = np.empty(x.size, dtype=bool), np.empty(x.size, dtype=bool)
+
+    def velocity(x, t, slot):
+        return _velocity(params, slits, mask, x, t, node_floor, pool[slot % _POOL])
+
+    def stage(scale, k):  # x + scale * k
+        np.multiply(scale, k, out=tmp)
+        return np.add(x, tmp, out=x_new)
+
     targets = None if dt is None else _time_steps(t0, t1, dt)
     times = [t0 if targets is None else targets[0]]  # the schedule spells -0.0 as 0.0
-    k1, nodal = velocity(x, times[0])
+    k1, nodal = velocity(x, times[0], 0)
     # A start on a node cannot be helped by a smaller step.
     alive = ~nodal
     abort_step = np.where(nodal, 0, -1)
     paths = None
     if record:  # filled in place: a list plus np.stack would double the peak
-        # Every accepted controlled step but the last is at least the floor step.
-        paths = np.empty((_FLOOR_STEPS + 2 if targets is None else targets.size, x.size))
+        paths = np.empty((_RECORD_ROWS if targets is None else targets.size, x.size))
         paths[0] = x
     n_viol = n_rejected = 0
     h_floor = (t1 - t0) / _FLOOR_STEPS
-    t, h = times[0], h_floor
+    t, h, slot = times[0], h_floor, 0
     while (t < t1) if targets is None else (len(times) < targets.size):
         if targets is not None:
-            k1, nodal = velocity(x, t)
+            k1, nodal = velocity(x, t, 0)
             t_new = targets[len(times)]
             h = t_new - t
-            k2, n2 = velocity(x + 0.5 * h * k1, t + 0.5 * h)
-            k3, n3 = velocity(x + 0.5 * h * k2, t + 0.5 * h)
-            k4, n4 = velocity(x + h * k3, t + h)
-            x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            hit = (nodal | n2 | n3 | n4) & alive
+            k2, n2 = velocity(stage(0.5 * h, k1), t + 0.5 * h, 1)
+            k3, n3 = velocity(stage(0.5 * h, k2), t + 0.5 * h, 2)
+            k4, n4 = velocity(stage(h, k3), t + h, 3)
+            # x + (h / 6) (k1 + 2 k2 + 2 k3 + k4)
+            np.multiply(2.0, k2, out=tmp)
+            np.add(k1, tmp, out=acc)
+            np.multiply(2.0, k3, out=tmp)
+            acc += tmp
+            acc += k4
+            stage(h / 6.0, acc)
+            np.logical_or(nodal, n2, out=hit)
+            hit |= n3
+            hit |= n4
+            hit &= alive
         else:
             h = max(h, h_floor)
             t_new = t + h
             if t_new >= t1:
                 h, t_new = t1 - t, t1
             ks = [k1]
-            hit = np.zeros(x.shape, dtype=bool)
-            for c, row in zip(_DP_C, _DP_A):
-                x_new = x + h * sum(a * k for a, k in zip(row, ks) if a)  # stage 7 is x5
-                k, n = velocity(x_new, t + c * h if c < 1.0 else t_new)
+            hit.fill(False)
+            for i, (c, row) in enumerate(zip(_DP_C, _DP_A), start=1):
+                # x + h * sum(a * k for a, k in zip(row, ks) if a); stage 7 is x5
+                x_stage = stage(h, _combine(row, ks, acc, tmp))
+                k, n = velocity(x_stage, t + c * h if c < 1.0 else t_new, slot + i)
                 ks.append(k)
                 hit |= n
             hit &= alive
-            dx = h * sum(e * k for e, k in zip(_DP_E, ks) if e)
-            err = float(np.max(np.abs(dx[alive & ~hit]), initial=0.0))
+            dx = np.multiply(h, _combine(_DP_E, ks, acc, tmp), out=acc)
+            np.logical_not(hit, out=live)
+            live &= alive
+            err = float(np.max(np.abs(dx, out=dx), where=live, initial=0.0))
             grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (_STEP_TOL / err) ** 0.2))
             if h > h_floor and (hit.any() or err > _STEP_TOL):
                 n_rejected += 1
                 h = 0.5 * h if hit.any() else h * grow
                 continue
-            k1 = k  # first same as last: its nodal flags are in hit
+            k1, slot = k, slot + 6  # first same as last: its nodal flags are in hit
             h *= grow
         abort_step[hit] = len(times) - 1  # the last accepted sample
-        alive &= ~hit
-        x = np.where(alive, x_new, x)
+        alive &= np.logical_not(hit, out=live)
+        np.copyto(x, x_new, where=alive)
         t = t_new
         times.append(t)
         n_viol += _crossings(x)
         if record:
-            if len(times) > len(paths):  # t + h rounds short of h near ulp(t)
-                paths = np.concatenate([paths, np.empty_like(paths)])
+            if len(times) > len(paths):  # full: double it; old and new rows peak at 3x the old
+                grown = np.empty((2 * len(paths), x.size))
+                grown[:len(paths)] = paths
+                paths = grown
             paths[len(times) - 1] = x
 
     return _BundleResult(

@@ -1,5 +1,7 @@
 """Sampling, streamline integration, and ensemble determinism tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -399,8 +401,8 @@ class TestControlledStepping:
         plain = trajectories._bundle(P, SINGLE, ONE, [1.0], 0.0, 2.0, None, 1e-12)
         velocity = trajectories._velocity
 
-        def walled(params, slits, mask, x, t, node_floor):
-            v, nodal = velocity(params, slits, mask, x, t, node_floor)
+        def walled(params, slits, mask, x, t, node_floor, ws):
+            v, nodal = velocity(params, slits, mask, x, t, node_floor, ws)
             exact = sigma_t(P, SINGLE[0], t) / sigma_t(P, SINGLE[0], 0.0)
             return v, nodal | ((t > 1.0) & (x < exact - 1e-5))
 
@@ -432,11 +434,11 @@ class TestControlledStepping:
 
     @pytest.mark.parametrize(("t0", "t1"), [(0.0, 2.0), (1.0, 1.0 + 1e-12)], ids=["fill", "grow"])
     def test_floor_step_recording_matches_unrecorded_run(self, monkeypatch, t0, t1):
-        # With no error tolerance every step is a floor step: 2001 of them
-        # fill the 2002 rows a controlled recording starts with.  Where the
+        # With no error tolerance every step is a floor step: 2001 of them,
+        # 2002 rows, which the recording reaches by doubling.  Where the
         # floor step is about 2 ulps of t, t + h rounds short and the steps
-        # outnumber the rows.  A smooth stand-in field keeps them cheap.
-        def wavy(params, slits, mask, x, t, node_floor):
+        # outnumber them.  A smooth stand-in field keeps them cheap.
+        def wavy(params, slits, mask, x, t, node_floor, ws):
             return np.sin(x + 3.0 * t), np.zeros(x.shape, dtype=bool)
 
         monkeypatch.setattr(trajectories, "_velocity", wavy)
@@ -456,6 +458,27 @@ class TestControlledStepping:
         assert np.array_equal(rec.paths, np.stack(seen))
         assert np.array_equal(rec.x_final, plain.x_final)
         assert np.array_equal(rec.times, plain.times)
+
+
+def test_recording_holds_the_rows_it_records(monkeypatch):
+    # A controlled recording starts small and doubles, so its memory
+    # follows the rows it records, not the 2002 rows of a floor-step
+    # run.  A smooth stand-in field keeps it cheap.
+    def wavy(params, slits, mask, x, t, node_floor, ws=None):
+        return np.sin(x + 3.0 * t), np.zeros(x.shape, dtype=bool)
+
+    monkeypatch.setattr(trajectories, "_velocity", wavy)
+    x0 = np.linspace(-3.0, 3.0, 1000)
+    tracemalloc.start()
+    try:
+        times, paths, _ = streamlines(P, SINGLE, ONE, x0, 0.0, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert times.size < 100 and paths.shape == (times.size, x0.size)
+    # while it doubles, old and new rows peak at 3 per recorded row; the
+    # first 64 rows and the workspace fit in 100 rows' worth
+    assert peak <= 8 * x0.size * (3 * times.size + 100), peak
 
 
 @pytest.mark.parametrize("dt", [None, 0.02], ids=["dopri", "rk4"])
