@@ -41,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .field import DEFAULT_NODE_FLOOR, FieldSample, _common_point, _guidance
+from .field import DEFAULT_NODE_FLOOR, FieldSample, _common_point, _guidance, _workspace
 from .packet import PacketEval
 
 __all__ = [
@@ -146,4 +146,4 @@ def assemble(
         p_tot = p_tot + p_i
         j_tot = j_tot + ch.physical_velocity * p_i
     conv = [ch.physical_velocity for ch in cset.channels if ch.kind is ChannelKind.CONVECTIVE]
-    return _guidance(p_tot, j_tot, node_floor, peak, conv)
+    return _guidance(p_tot, j_tot, node_floor, peak, conv, _workspace(m.shape[:-1], 0))

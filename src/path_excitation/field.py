@@ -146,7 +146,7 @@ def _check_node_floor(node_floor: float) -> None:
         raise ValueError("node_floor >= 0 violated")
 
 
-def _guidance(p, j, node_floor, peak, conv, ws=None) -> FieldSample:
+def _guidance(p, j, node_floor, peak, conv, ws) -> FieldSample:
     """The one nodal and guidance rule: FieldSample from totals p, j.
 
     A point is nodal when p < node_floor * peak, and every point is when
@@ -154,15 +154,10 @@ def _guidance(p, j, node_floor, peak, conv, ws=None) -> FieldSample:
     density.  Nodal points get v = NaN.  conv holds the open slits'
     convective velocities; one slit carries no interference, so its own
     is returned verbatim at live points, otherwise v = j / p.  v and the
-    nodal flags are written into ws.v and ws.nodal, or into fresh arrays
-    without a workspace.
+    nodal flags are written into ws.v and ws.nodal.
     """
     _check_node_floor(node_floor)
-    fresh = ws is None
-    if fresh:
-        v, nodal = np.empty(np.shape(p)), np.empty(np.shape(p), dtype=bool)
-    else:
-        v, nodal = ws.v, ws.nodal
+    v, nodal = ws.v, ws.nodal
     if peak > 0.0:
         np.less(p, node_floor * peak, out=nodal)
     else:
@@ -175,9 +170,7 @@ def _guidance(p, j, node_floor, peak, conv, ws=None) -> FieldSample:
             np.divide(j, p, out=v, where=~nodal if some else True)
     if some:
         np.copyto(v, np.nan, where=nodal)
-    if fresh:
-        v, nodal = _unwrap(v), _unwrap(nodal)
-    return FieldSample(p_tot=p, j_tot=j, v_tot=v, nodal=nodal)
+    return FieldSample(p_tot=p, j_tot=j, v_tot=_unwrap(v), nodal=_unwrap(nodal))
 
 
 def open_evals(
@@ -192,7 +185,7 @@ _SCRATCH = 5  # the scratch arrays _pairwise, and before it _packet, write throu
 
 @dataclass(frozen=True)
 class _Workspace:
-    """Buffers that one evaluation of the field at n points writes into.
+    """Buffers that one evaluation of the field at points of one shape writes into.
 
     packets[i] takes open slit i's five PacketEval arrays, scratch the
     temporaries of packet._packet and of _pairwise, p and j the totals,
@@ -208,15 +201,18 @@ class _Workspace:
     nodal: np.ndarray
 
 
-def _workspace(n: int, n_open: int) -> _Workspace:
-    """An uninitialised _Workspace for n points and n_open open slits."""
+def _workspace(shape, n_open: int) -> _Workspace:
+    """An uninitialised _Workspace for points of this shape and n_open open slits.
+
+    Callers that evaluate the packets themselves pass n_open = 0.
+    """
     return _Workspace(
-        packets=[_floats(n, 5) for _ in range(n_open)],
-        scratch=_floats(n, _SCRATCH),
-        p=np.empty(n),
-        j=np.empty(n),
-        v=np.empty(n),
-        nodal=np.empty(n, dtype=bool),
+        packets=[_floats(shape, 5) for _ in range(n_open)],
+        scratch=_floats(shape, _SCRATCH),
+        p=np.empty(shape),
+        j=np.empty(shape),
+        v=np.empty(shape),
+        nodal=np.empty(shape, dtype=bool),
     )
 
 
@@ -249,20 +245,15 @@ def _pair_products(evals: list[PacketEval], scratch):
         yield i, k, cross, cphi, sphi
 
 
-def _pairwise(evals: list[PacketEval], x, ws=None):
-    """Pairwise-closed-form (P_tot, J_tot) of evals at x; fixed summation order.
+def _pairwise(evals: list[PacketEval], ws):
+    """Pairwise-closed-form (P_tot, J_tot) of evals; fixed summation order.
 
-    Both start from zeros shaped like x, so no evals sum to zeros.  The
-    terms of P_tot are spelled as _subset_table spells them, which keeps
-    its subset intensities bit-identical to this sum.  The totals are
-    written into ws.p and ws.j, through ws.scratch, or into fresh arrays
-    without a workspace.
+    Both are written into ws.p and ws.j, through ws.scratch, from zeros
+    shaped like the workspace, so no evals sum to zeros.  The terms of
+    P_tot are spelled as _subset_table spells them, which keeps its
+    subset intensities bit-identical to this sum.
     """
-    fresh = ws is None
-    if fresh:
-        p, j, *scratch = _floats(np.shape(x), 2 + _SCRATCH)
-    else:
-        p, j, scratch = ws.p, ws.j, ws.scratch
+    p, j, scratch = ws.p, ws.j, ws.scratch
     t1, t2 = scratch[3:5]
     p.fill(0.0)
     j.fill(0.0)
@@ -285,7 +276,7 @@ def _pairwise(evals: list[PacketEval], x, ws=None):
         t1 += t2
         t1 *= cross
         j += t1
-    return (_unwrap(p), _unwrap(j)) if fresh else (p, j)
+    return _unwrap(p), _unwrap(j)
 
 
 def _subset_table(evals: list[PacketEval], x) -> dict[tuple[int, ...], np.ndarray]:
@@ -312,18 +303,15 @@ def _subset_table(evals: list[PacketEval], x) -> dict[tuple[int, ...], np.ndarra
     return table
 
 
-def _field(evals: list[PacketEval], x, node_floor, peak, ws=None) -> FieldSample:
-    """The one route from evaluations at x to a FieldSample: _pairwise totals under _guidance.
-
-    With a workspace every array is written into it; without, they are fresh.
-    """
-    p, j = _pairwise(evals, x, ws)
+def _field(evals: list[PacketEval], node_floor, peak, ws) -> FieldSample:
+    """The one route from evaluations to a FieldSample: _pairwise totals under _guidance, in ws."""
+    p, j = _pairwise(evals, ws)
     return _guidance(p, j, node_floor, peak, [ev.conv_velocity for ev in evals], ws)
 
 
 def intensity(evals: list[PacketEval]) -> np.ndarray:
     """Total detection intensity P_tot; evals are checked as in pairwise_field."""
-    return _pairwise(evals, _common_point(evals)[0])[0]
+    return _pairwise(evals, _workspace(np.shape(_common_point(evals)[0]), 0))[0]
 
 
 def pairwise_field(
@@ -338,7 +326,8 @@ def pairwise_field(
     absolute) and _guidance applies the rule.  The evals, at least one,
     must share one (x, t); _common_point checks it.
     """
-    return _field(evals, _common_point(evals)[0], node_floor, peak)
+    ws = _workspace(np.shape(_common_point(evals)[0]), 0)
+    return _field(evals, node_floor, peak, ws)
 
 
 def peak_bound(params: PhysParams, slits: list[SlitSpec], mask: SlitMask, t: float) -> float:
@@ -373,11 +362,14 @@ def _grid_blocks(params, slits, mask, grid, node_floor):
     xs = grid.points()
     blocks = [xs[start:start + _BLOCK] for start in range(0, xs.size, _BLOCK)]
 
-    maxima = [np.max(_pairwise(open_evals(params, slits, mask, x, grid.t), x)[0]) for x in blocks]
+    def block(x):  # a workspace per block, so the blocks a caller keeps never alias
+        return open_evals(params, slits, mask, x, grid.t), _workspace(x.shape, 0)
+
+    maxima = [np.max(_pairwise(*block(x))[0]) for x in blocks]
     peak = float(np.max(maxima))  # np.max keeps a NaN wherever it occurs
 
-    evals = (open_evals(params, slits, mask, x, grid.t) for x in blocks)
-    return ((x, ev, _field(ev, x, node_floor, peak)) for x, ev in zip(blocks, evals))
+    evals = (block(x) for x in blocks)
+    return ((x, ev, _field(ev, node_floor, peak, ws)) for x, (ev, ws) in zip(blocks, evals))
 
 
 def field_grid(

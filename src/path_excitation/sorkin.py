@@ -19,8 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .field import _BLOCK, GridSpec, SlitMask, _pairwise, _subset_table, open_evals
-from .packet import PhysParams, SlitSpec
+from .field import _BLOCK, GridSpec, SlitMask, _pairwise, _subset_table, _workspace, open_evals
+from .packet import PhysParams, SlitSpec, _unwrap
 
 __all__ = [
     "SumRuleReport",
@@ -59,7 +59,8 @@ class SumRuleReport:
 
 def subset_intensity(params: PhysParams, slits: list[SlitSpec], subset, x, t: float):
     """Intensity at x with only the given slit indices open; the empty subset sums to 0."""
-    return _pairwise(open_evals(params, slits, SlitMask(subset), x, t), x)[0]
+    evals = open_evals(params, slits, SlitMask(subset), x, t)
+    return _pairwise(evals, _workspace(np.shape(x), 0))[0]
 
 
 def _inclusion_exclusion(s: tuple[int, ...], table) -> np.ndarray:
@@ -88,7 +89,7 @@ def interference_term(params: PhysParams, slits: list[SlitSpec], subset, x, t: f
         raise ValueError("subset must contain at least one slit index")
     x = np.asarray(x, dtype=float)
     table = _subset_table(open_evals(params, slits, mask, x, t), x)
-    return _inclusion_exclusion(tuple(range(len(mask.open))), table)
+    return _unwrap(_inclusion_exclusion(tuple(range(len(mask.open))), table))
 
 
 def sumrule_report(

@@ -21,7 +21,8 @@ stepping across a node.
 Each bundle owns one workspace, sized to it and to the open slits:
 every stage writes its packet evaluations, pairwise sums, guidance
 velocity and stage positions into it, so stepping allocates nothing
-per stage and the bits are those of the allocating field functions.
+per stage.  The public field functions run the same kernels, each call
+in a workspace of its own, so the bits are theirs.
 
 Ensembles sample initial positions from the normalized t0 intensity by
 inverse-CDF lookup on a tabulated grid, integrate the position-sorted
@@ -165,22 +166,19 @@ def _resolve_dt(t0, t1, dt) -> float | None:
     return dt
 
 
-def _velocity(params, slits, mask, x, t, node_floor, ws=None):
+def _velocity(params, slits, mask, x, t, node_floor, ws):
     """Guidance velocity and nodal flags at array positions x, time t.
 
     The nodal reference is the analytic in-phase peak bound at time t.
     Nodal entries come back NaN, as _guidance leaves them; _bundle
     freezes every trajectory whose step met a nodal stage and reads
     live trajectories only, so it never commits one.  An empty mask
-    has peak bound 0, so every entry is nodal.  With a field._Workspace
-    sized to x and the open slits, every array is written into it and
-    (v, nodal) are ws.v and ws.nodal; without, they are fresh.
+    has peak bound 0, so every entry is nodal.  Every array is written
+    into ws, a field._Workspace sized to x and the open slits, and
+    (v, nodal) are ws.v and ws.nodal.
     """
-    if ws is None:
-        evals = open_evals(params, slits, mask, x, t)
-    else:
-        evals = _open_evals(params, slits, mask, x, t, ws)
-    fs = _field(evals, x, node_floor, peak_bound(params, slits, mask, t), ws)
+    evals = _open_evals(params, slits, mask, x, t, ws)
+    fs = _field(evals, node_floor, peak_bound(params, slits, mask, t), ws)
     return fs.v_tot, fs.nodal
 
 
@@ -341,7 +339,7 @@ def _quantiles(params, slits, mask, t0, u):
     lo = min(centers) - _WINDOW_WIDTHS * width
     hi = max(centers) + _WINDOW_WIDTHS * width
     xs = np.linspace(lo, hi, _SAMPLER_POINTS)
-    p = _pairwise(open_evals(params, slits, mask, xs, t0), xs)[0]
+    p = _pairwise(open_evals(params, slits, mask, xs, t0), _workspace(xs.shape, 0))[0]
     dx = xs[1] - xs[0]
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * dx)])
     total = cdf[-1]

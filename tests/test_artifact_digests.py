@@ -8,14 +8,19 @@ and numpy's SIMD level (its baseline targets, then the dispatch targets
 this CPU enables, as np.show_runtime() reads them) where it was written,
 and a mismatch fails rather than passing unchecked.  numpy reads
 NPY_DISABLE_CPU_FEATURES at import, so one process can take a lower
-level's path.
+level's path.  The values differ between levels, but the exit status
+and error line of every run that fails do not, and a test checks that
+on the X86_V3 (AVX2) and X86_V2 (baseline) paths.
 To rewrite the file, after checking that every line that moves is meant
 to, run
 
     PYTHONPATH=src:tools python tests/test_artifact_digests.py
 """
 
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import artifact_digests as digests
@@ -24,6 +29,27 @@ import pytest
 from numpy._core import _multiarray_umath as umath
 
 GOLDEN = Path(__file__).with_name("artifact_digests.txt")
+ROOT = Path(__file__).resolve().parent.parent
+
+# NPY_DISABLE_CPU_FEATURES for each level below X86_V4
+LOWER_LEVELS = {
+    "X86_V3": "AVX512_SPR AVX512_ICL X86_V4",
+    "X86_V2": "AVX512_SPR AVX512_ICL X86_V4 X86_V3",
+}
+# Runs the cases named on its command line, "<label>/<subcommand>" each,
+# and prints their exit and error lines.
+FAILING_RUNS = """
+import sys, tempfile
+from pathlib import Path
+import artifact_digests as d
+for label, config, subs in d.CASES:
+    for sub in subs:
+        if f"{label}/{sub}" in sys.argv[1:]:
+            with tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp) / "out"
+                lines = d.digest_lines(label, sub, out, *d.run(sub, config, out))
+                print(*(l for l in lines if l.startswith(("exit ", "stderr "))), sep="\\n")
+"""
 
 
 def host_header() -> list[str]:
@@ -45,6 +71,29 @@ def test_artifacts_match_the_recorded_digests():
             pytrace=False,
         )
     assert digests.current_lines() == recorded[len(header):]
+
+
+@pytest.mark.parametrize("level", LOWER_LEVELS)
+def test_failing_runs_keep_their_exit_and_error_on_lower_simd_levels(level):
+    disabled = LOWER_LEVELS[level]
+    if set(disabled.split()) & set(umath.__cpu_baseline__):
+        pytest.skip(f"numpy's baseline here includes a feature of {disabled}")
+    lines = GOLDEN.read_text().splitlines()
+    recorded = [line for line in lines if line.startswith(("exit ", "stderr "))]
+    exits = [line.split() for line in recorded if line.startswith("exit ")]
+    failing = [run for _, code, run in exits if code != "0"]
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tools")]),
+        NPY_DISABLE_CPU_FEATURES=disabled,
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", FAILING_RUNS, *failing],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = [line for line in recorded if line.rsplit("  ", 1)[1] in failing]
+    assert proc.stdout.splitlines() == expected
 
 
 if __name__ == "__main__":

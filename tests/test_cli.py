@@ -188,8 +188,8 @@ class TestVerifyCommand:
         # term, so negating every diff_velocity flips exactly its sign.
         original = field._pairwise
 
-        def mutant(evals, x, ws=None):
-            return original([replace(ev, diff_velocity=-ev.diff_velocity) for ev in evals], x, ws)
+        def mutant(evals, ws):
+            return original([replace(ev, diff_velocity=-ev.diff_velocity) for ev in evals], ws)
 
         monkeypatch.setattr(field, "_pairwise", mutant)
         assert main(["verify", "--out-dir", str(tmp_path)]) == 3

@@ -14,6 +14,7 @@ from path_excitation.field import (
     _BLOCK,
     _guidance,
     _pairwise,
+    _workspace,
     DEFAULT_NODE_FLOOR,
     GridSpec,
     SlitMask,
@@ -296,8 +297,9 @@ def whole_grid_field(params, slits, mask, grid, node_floor=DEFAULT_NODE_FLOOR):
     """field_grid's rule on one whole-grid evaluation: the reference for blocks."""
     xs = grid.points()
     evals = open_evals(params, slits, mask, xs, grid.t)
-    p, j = _pairwise(evals, xs)
-    return _guidance(p, j, node_floor, float(np.max(p)), [ev.conv_velocity for ev in evals])
+    ws = _workspace(xs.shape, 0)
+    p, j = _pairwise(evals, ws)
+    return _guidance(p, j, node_floor, float(np.max(p)), [ev.conv_velocity for ev in evals], ws)
 
 
 def assert_same_field(fs, ref):

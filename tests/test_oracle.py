@@ -25,6 +25,7 @@ from numpy.testing import assert_allclose
 from scipy.sparse.linalg import splu
 
 import path_excitation
+from path_excitation import field, trajectories
 from path_excitation.errors import BoundaryLeak, NegativeTime, NodalPoint
 from path_excitation.field import GridSpec, SlitMask, pairwise_field, open_evals
 from path_excitation.oracle import (
@@ -530,6 +531,17 @@ def test_cli_holds_no_tolerance_and_no_tolerance_comparison():
             if any(tolerance(sub) for op in operands for sub in ast.walk(op)):
                 offenders.append(f"comparison at line {node.lineno}")
     assert offenders == []
+
+
+def test_field_kernels_take_a_required_workspace():
+    """Every field kernel writes into a field._Workspace, so there is one
+    evaluation route: a ws that defaults to None would bring back an
+    allocating second one.  The points are the workspace's, not an x."""
+    for kernel in (field._pairwise, field._guidance, field._field, trajectories._velocity):
+        ws = inspect.signature(kernel).parameters["ws"]
+        assert ws.default is inspect.Parameter.empty, kernel.__name__
+    for kernel in (field._pairwise, field._field):
+        assert "x" not in inspect.signature(kernel).parameters, kernel.__name__
 
 
 # -------------------------------------------------------------- equivalence

@@ -7,7 +7,7 @@ import pytest
 
 from path_excitation import packet, trajectories
 from path_excitation.errors import DegenerateDensity
-from path_excitation.field import SlitMask
+from path_excitation.field import SlitMask, _workspace
 from path_excitation.packet import PhysParams, SlitSpec, sigma_t
 from path_excitation.trajectories import (
     Termination,
@@ -464,7 +464,7 @@ def test_recording_holds_the_rows_it_records(monkeypatch):
     # A controlled recording starts small and doubles, so its memory
     # follows the rows it records, not the 2002 rows of a floor-step
     # run.  A smooth stand-in field keeps it cheap.
-    def wavy(params, slits, mask, x, t, node_floor, ws=None):
+    def wavy(params, slits, mask, x, t, node_floor, ws):
         return np.sin(x + 3.0 * t), np.zeros(x.shape, dtype=bool)
 
     monkeypatch.setattr(trajectories, "_velocity", wavy)
@@ -490,7 +490,7 @@ def test_no_nodal_velocity_is_committed(monkeypatch, dt):
     floor = 0.01
     x0 = quantile_initial(P, COLLIDING, BOTH, T0, 500)
     velocity = trajectories._velocity
-    v, nodal = velocity(P, COLLIDING, BOTH, x0, T0, floor)
+    v, nodal = velocity(P, COLLIDING, BOTH, x0, T0, floor, _workspace(x0.shape, 2))
     assert np.count_nonzero(nodal) == 2
     assert np.isnan(v[nodal]).all() and np.isfinite(v[~nodal]).all()
     nan_run = streamlines(P, COLLIDING, BOTH, x0, T0, 4.0, dt, floor)

@@ -1,11 +1,13 @@
-"""A bundle's stage workspace gives the bits of the allocating calls.
+"""A workspace that earlier calls left dirty gives the bits of a fresh one.
 
-Trajectory bundles evaluate every stage into one field._Workspace and
-keep the stage outputs in a rotating pool.  These tests compare a
-workspace that earlier calls left dirty with the public, allocating
-calls, bit for bit, in the cases where the kernels skip a step: masked
-phases, one open slit, an empty mask and nodal points.  They also check
-that a scalar x still gives numpy scalars, and that no stage output is
+Every field kernel writes into a field._Workspace.  Trajectory bundles
+evaluate every stage into one and keep the stage outputs in a rotating
+pool; the public field functions build one per call.  These tests
+compare a dirty workspace with fresh ones and with eval_packet, bit for
+bit, in the cases where the kernels skip a step: masked phases, one
+open slit, an empty mask and nodal points.  They also check that a
+scalar x still gives numpy scalars from every public function that
+evaluates it in a 0-d workspace, and that no stage output is
 overwritten while a step still reads it.
 """
 
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from path_excitation import trajectories
+from path_excitation.channels import assemble, build_channels
 from path_excitation.field import (
     SlitMask,
     _pairwise,
@@ -24,6 +27,7 @@ from path_excitation.field import (
     pairwise_field,
 )
 from path_excitation.packet import PhysParams, SlitSpec, _floats, _packet, eval_packet
+from path_excitation.sorkin import interference_term, subset_intensity
 
 from test_trajectories import COLLIDING
 
@@ -61,9 +65,9 @@ def test_workspace_stage_matches_the_allocating_calls(case):
     slits, open_idx, x, t, floor = CASES[case]
     mask = SlitMask(open_idx)
     evals = open_evals(P, slits, mask, x, t)
-    p, j = _pairwise(evals, x)
-    v, nodal = trajectories._velocity(P, slits, mask, x, t, floor)
-    ws = _workspace(x.size, len(evals))
+    p, j = _pairwise(evals, _workspace(x.shape, 0))
+    v, nodal = trajectories._velocity(P, slits, mask, x, t, floor, _workspace(x.shape, len(evals)))
+    ws = _workspace(x.shape, len(evals))
     dirty(ws)
     # cold, after another time has left its values, and again
     for when in (t, 0.05, t):
@@ -91,9 +95,16 @@ def test_scalar_x_gives_numpy_scalars():
     assert all(getattr(kernel, f) is a for f, a in zip(OUTPUTS, out))
     assert all(same(getattr(kernel, f), getattr(evals[0], f)) for f in OUTPUTS)
     assert type(intensity(evals)) is np.float64
-    for sample in (pairwise_field(evals), pairwise_field(evals[:1])):
+    samples = [pairwise_field(evals), pairwise_field(evals[:1])]
+    samples += [assemble(build_channels(evals)), assemble(build_channels(evals[:1]))]
+    for sample in samples:
         types = [type(getattr(sample, f.name)) for f in fields(sample)]
         assert types == [np.float64, np.float64, np.float64, np.bool_]
+    for subset in ([0, 1], [1], []):
+        assert type(subset_intensity(P, SYMMETRIC, subset, 0.3, 1.0)) is np.float64
+    assert same(subset_intensity(P, SYMMETRIC, [0, 1], 0.3, 1.0), intensity(evals))
+    assert subset_intensity(P, SYMMETRIC, [], 0.3, 1.0) == 0.0
+    assert type(interference_term(P, SYMMETRIC, [0, 1], 0.3, 1.0)) is np.float64
     whole = pairwise_field([eval_packet(P, s, np.array([0.3, 1.0]), 1.0) for s in SYMMETRIC])
     point = pairwise_field(evals)
     assert all(same(getattr(whole, f.name)[0], getattr(point, f.name)) for f in fields(point))
