@@ -14,7 +14,6 @@ object {"error": ..., "message": ...} to stderr.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -254,15 +253,18 @@ def _write_csv(path: str, header: str, blocks) -> None:
     Each item of blocks is a list of array columns holding the next rows,
     so a caller can stream rows block by block.  Bool and integer columns
     are written "%d", every other column "%.17g" (nan and inf spelled
-    nan, inf, -inf).  Rows are formatted in runs of field._BLOCK, one
-    `%` per run, and written as they are made.
+    nan, inf, -inf).  Rows are formatted in runs of field._BLOCK values,
+    max(1, _BLOCK // len(columns)) rows, one `%` per run, and written as
+    they are made; a run's tuple and text then stay small enough for
+    malloc to reuse from run to run.
     """
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for columns in blocks:
             row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns) + "\n"
-            for start in range(0, len(columns[0]), _BLOCK):
-                block = np.column_stack([c[start:start + _BLOCK] for c in columns])
+            rows = max(1, _BLOCK // len(columns))
+            for start in range(0, len(columns[0]), rows):
+                block = np.column_stack([c[start:start + rows] for c in columns])
                 fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -281,9 +283,9 @@ def _write_streamlines(cfg: RunConfig, path: str) -> None:
         cfg.params, list(cfg.slits), cfg.mask, x0s, cfg.t0, cfg.t1, cfg.dt,
         cfg.node_floor,
     )
-    keep = np.unique(
-        np.linspace(0, times.size - 1, min(times.size, MAX_STREAMLINE_ROWS)).astype(int)
-    )
+    # At most times.size samples are spaced at least 1 apart, so the
+    # truncated indices are already strictly increasing.
+    keep = np.linspace(0, times.size - 1, min(times.size, MAX_STREAMLINE_ROWS)).astype(int)
     # Line i keeps its sampled rows up to its abort step, if it aborted.
     last = np.where(abort_steps >= 0, abort_steps, times.size - 1)
     ids, cols = np.nonzero(keep[None, :] <= last[:, None])
@@ -427,6 +429,8 @@ def _emit_error(exc: BaseException) -> None:
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line parses arguments; importing cli leaves it out
+
     parser = argparse.ArgumentParser(
         prog="path-excitation",
         description="n-slit interference fields, trajectories, and sum-rule checks",

@@ -16,6 +16,7 @@ from path_excitation.cli import echo_config, main, parse_config, run_subcommand
 from path_excitation.errors import ParseError, ValidationError
 from path_excitation.oracle import EquivalenceReport
 from path_excitation.packet import PhysParams, SlitSpec
+from path_excitation.trajectories import quantile_initial, streamlines
 
 
 def read(path):
@@ -275,9 +276,19 @@ SMALL_TRAJ = {
 
 
 class TestTrajectoriesCommand:
-    def test_writes_histogram_and_streamlines(self, tmp_path):
+    # Fixed steps from t0 = 0.001 to t1 = 1.0 giving 51, 200, 201, 202 and
+    # 2001 samples, around the 201 rows a streamline keeps at most, then
+    # the error-controlled default (None).
+    @pytest.mark.parametrize(
+        "dt, samples",
+        [(0.02, 51), (0.00503, 200), (0.005, 201), (0.00498, 202), (0.0004996, 2001),
+         (None, None)],
+        ids=["51", "200", "201", "202", "2001", "controlled"],
+    )
+    def test_writes_histogram_and_streamlines(self, tmp_path, dt, samples):
+        config = {**SMALL_TRAJ, "trajectories": {**SMALL_TRAJ["trajectories"], "dt": dt}}
         out = tmp_path / "out"
-        assert run("trajectories", SMALL_TRAJ, out)[0] == 0
+        assert run("trajectories", config, out)[0] == 0
 
         hist = lines_of(out / "histogram.csv")
         assert hist[0] == "bin_left,bin_right,count,density"
@@ -291,11 +302,21 @@ class TestTrajectoriesCommand:
 
         traj = lines_of(out / "trajectories.csv")
         assert traj[0] == "traj_id,t,x"
-        ids = {int(r.split(",")[0]) for r in traj[1:]}
-        assert ids == set(range(200))  # capped streamline count
-        t_first = [float(r.split(",")[1]) for r in traj[1:] if r.split(",")[0] == "0"]
-        assert t_first[0] == 0.001
-        assert t_first[-1] == 1.0
+        if samples is None:
+            cfg = parse_config(read(tmp_path / "out.json"))
+            x0s = quantile_initial(cfg.params, list(cfg.slits), cfg.mask, cfg.t0, 200)
+            samples = streamlines(
+                cfg.params, list(cfg.slits), cfg.mask, x0s, cfg.t0, cfg.t1, cfg.dt
+            )[0].size
+        lines = {}
+        for r in traj[1:]:
+            line, t, _ = r.split(",")
+            lines.setdefault(int(line), []).append(float(t))
+        assert list(lines) == list(range(200))  # capped streamline count
+        for ts in lines.values():  # no line aborts, and none loses a sampled row
+            assert len(ts) == min(samples, cli.MAX_STREAMLINE_ROWS)
+            assert ts[0] == 0.001 and ts[-1] == 1.0
+            assert all(a < b for a, b in zip(ts, ts[1:]))
 
     def test_seed_override_changes_histogram(self, tmp_path):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -576,32 +597,56 @@ class TestExitCodes:
 class TestWriters:
     SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1, -2.5]
 
-    @pytest.mark.parametrize(
-        "n_rows", [1, cli._BLOCK, cli._BLOCK + 1], ids=["one", "block", "block+1"]
-    )
-    def test_csv_matches_per_value_formatting(self, tmp_path, n_rows):
+    def columns(self, n_columns, n_rows):
+        """n_columns columns of n_rows, cycling float, int, negated float and
+        bool, each with the spelling _write_csv must give its values."""
         floats = np.resize(np.array(self.SPECIAL), n_rows)
-        negated = -floats[::-1]
         ints = np.arange(n_rows) % 7
-        flags = ints % 2 == 0
-        path = tmp_path / "out.csv"
-        cli._write_csv(str(path), "a,b,c,d", [[floats, ints, negated, flags]])
-        rows = [
-            f"{float(a):.17g},{int(b)},{float(c):.17g},{int(d)}"
-            for a, b, c, d in zip(floats, ints, negated, flags)
+        kinds = [
+            (lambda k: np.roll(floats, k), lambda v: f"{float(v):.17g}"),
+            (lambda k: ints + k, lambda v: f"{int(v)}"),
+            (lambda k: -np.roll(floats[::-1], k), lambda v: f"{float(v):.17g}"),
+            (lambda k: (ints + k) % 2 == 0, lambda v: f"{int(v)}"),
         ]
-        assert path.read_bytes() == ("a,b,c,d\n" + "".join(r + "\n" for r in rows)).encode()
+        spelled = []
+        for k in range(n_columns):
+            make, spell = kinds[k % len(kinds)]
+            spelled.append((make(k), spell))
+        return spelled
+
+    # One `%` formats max(1, _BLOCK // n_columns) rows: write a single row,
+    # then one row short of such a run, a run, and one row over, on 1, 4
+    # and 11 columns; a _BLOCK of 3 leaves fewer values than columns.
+    @pytest.mark.parametrize(
+        "block, offset",
+        [(None, None), (None, -1), (None, 0), (None, 1), (3, 1)],
+        ids=["one", "block-1", "block", "block+1", "block<columns"],
+    )
+    def test_csv_matches_per_value_formatting(self, tmp_path, monkeypatch, block, offset):
+        if block is not None:
+            monkeypatch.setattr(cli, "_BLOCK", block)
+        for n_columns in (1, 4, 11):
+            n_rows = 1 if offset is None else max(1, cli._BLOCK // n_columns) + offset
+            spelled = self.columns(n_columns, n_rows)
+            header = ",".join(f"c{k}" for k in range(n_columns))
+            path = tmp_path / f"{n_columns}.csv"
+            cli._write_csv(str(path), header, [[c for c, _ in spelled]])
+            rows = zip(*([spell(v) for v in c] for c, spell in spelled))
+            expected = header + "\n" + "".join(",".join(r) + "\n" for r in rows)
+            assert path.read_bytes() == expected.encode(), n_columns
 
     def test_csv_blocks_write_the_bytes_of_one_block(self, tmp_path):
-        n_rows = 3 * cli._BLOCK + 5
-        floats = np.resize(np.array(self.SPECIAL), n_rows)
-        flags = np.arange(n_rows) % 3 == 0
-        whole, ragged = tmp_path / "whole.csv", tmp_path / "ragged.csv"
-        cli._write_csv(str(whole), "a,b", [[floats, flags]])
-        cuts = [0, 1, 1, cli._BLOCK + 3, 2 * cli._BLOCK, n_rows]
-        blocks = ([floats[a:b], flags[a:b]] for a, b in zip(cuts, cuts[1:]))
-        cli._write_csv(str(ragged), "a,b", blocks)
-        assert ragged.read_bytes() == whole.read_bytes()
+        for n_columns in (1, 4, 11):
+            rows = cli._BLOCK // n_columns
+            n_rows = 3 * rows + 5
+            columns = [c for c, _ in self.columns(n_columns, n_rows)]
+            whole, ragged = tmp_path / "whole.csv", tmp_path / "ragged.csv"
+            cli._write_csv(str(whole), "h", [columns])
+            # blocks end one row short of a run, on it and one row over
+            cuts = [0, 1, 1, rows - 1, rows, rows + 1, 2 * rows + 3, n_rows]
+            blocks = ([c[a:b] for c in columns] for a, b in zip(cuts, cuts[1:]))
+            cli._write_csv(str(ragged), "h", blocks)
+            assert ragged.read_bytes() == whole.read_bytes(), n_columns
 
     def test_sorkin_json_matches_indenting_encoder(self, tmp_path):
         values = [np.array(self.SPECIAL), np.array([np.inf, 1.0, 2.0])]

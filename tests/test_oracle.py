@@ -417,11 +417,33 @@ def test_propagate_validates_shapes():
         fd_propagate(P, xs, np.zeros(32, dtype=complex), 0.1, 100)
 
 
-def test_package_import_loads_no_scipy():
+# A small trajectories run through the library entry point; sys.argv[1]
+# is its output directory.
+TRAJECTORIES_RUN = """\
+from path_excitation import cli
+cfg = cli.parse_config('{"trajectories": {"n": 50}}')
+assert cli.run_subcommand("trajectories", cfg, sys.argv[1]) == 0
+"""
+
+
+@pytest.mark.parametrize(
+    "code, module",
+    [
+        ("import path_excitation", "scipy"),
+        ("import path_excitation.cli", "argparse"),
+        (TRAJECTORIES_RUN, "numpy.ma"),
+    ],
+    ids=["scipy", "argparse", "numpy.ma"],
+)
+def test_package_import_loads_no_scipy(tmp_path, code, module):
+    """Each module a fresh process loads costs resident memory and start-up
+    time: the package needs no scipy, importing cli parses no arguments,
+    and a trajectories run needs no masked arrays."""
     src = str(Path(path_excitation.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", "import path_excitation, sys; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys\n{code}\nprint({module!r} in sys.modules)",
+         str(tmp_path)],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert proc.stdout.strip() == "False"

@@ -8,7 +8,10 @@ head with the same seed, and the side that runs first alternates from
 pair to pair.  Make the checkouts with ``git archive`` into directories
 whose paths have the same length: the path lengths of a checkout move
 where the interpreter's import-time allocations land, and with them the
-heap layout and the minor page faults of the runs.
+heap layout and the minor page faults of the runs.  A claim compares
+two programs under one benchmark, so a warning goes to stderr when
+BENCHMARK.json or any file under its "paths" differs between the
+checkouts (by sha256; __pycache__ is skipped).
 
 The output is one line per run (its end-to-end metrics and the minor
 page faults of run.py and its workload processes, from RUSAGE_CHILDREN),
@@ -28,6 +31,7 @@ faults per run.  The exit status is 1 when a run fails, else 0.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import resource
 import statistics
@@ -49,6 +53,22 @@ def _run(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[dict, 
         raise RuntimeError(f"{checkout} exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {name: m["value"] for name, m in result["metrics"].items()}, faults
+
+
+def benchmark_digests(checkout: Path) -> dict[str, str]:
+    """sha256 of BENCHMARK.json and of each file under its paths, by relative path."""
+    spec = checkout / "BENCHMARK.json"
+    files = [spec]
+    for name in json.loads(spec.read_text()).get("paths", []):
+        root = checkout / name
+        if root.is_dir():
+            files += (f for f in root.rglob("*") if f.is_file() and "__pycache__" not in f.parts)
+        elif root.is_file():
+            files.append(root)
+    return {
+        f.relative_to(checkout).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in files
+    }
 
 
 def summarize(spec: dict, base: list[float], head: list[float]) -> str:
@@ -81,6 +101,14 @@ def main(argv: list[str] | None = None) -> int:
             f"{len(str(sides['head']))} characters), which can move the heap layout",
             file=sys.stderr,
         )
+    base_files, head_files = (benchmark_digests(sides[side]) for side in ("base", "head"))
+    differ = sorted(
+        name for name in base_files.keys() | head_files.keys()
+        if base_files.get(name) != head_files.get(name)
+    )
+    if differ:
+        print(f"warning: benchmark files differ between the checkouts: {', '.join(differ)}",
+              file=sys.stderr)
     specs = json.loads((sides["base"] / "BENCHMARK.json").read_text())["end_to_end"]
     values = {"base": [], "head": []}
     faults = {"base": [], "head": []}
