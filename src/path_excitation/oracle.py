@@ -34,6 +34,10 @@ of the threshold, and runs the full sum over every mode only on a
 block of steps where the kept modes alone come within tau (plus a
 roundoff margin) of it.  Every other block provably stays below the
 threshold, so the first leaking step is the one the full check names.
+Each sum starts from the initial weights advanced straight to its
+first step s0 by r_k^s0 = exp(i s0 theta_k), as the final transform
+forms r_k^n, so no block depends on another, and the kept modes are
+summed a span of blocks at a time.
 """
 
 from __future__ import annotations
@@ -56,11 +60,13 @@ __all__ = [
     "equivalence_report",
 ]
 
-# Steps per leak-check block.  Each block is first checked over the kept
-# modes only, one (chunk x K) @ (K x 2) product against their
-# r_k^1..r_k^chunk; a block that check cannot clear repeats it over all
-# N modes, whose table (32 rows at N = 4096 is 2 MiB) is built the
-# first time that happens.
+# Steps per leak-check block.  The K kept modes are summed over spans of
+# whole blocks, one (span x K) @ (K x 2) product against their
+# r_k^1..r_k^span, with as many blocks per span as keep that table
+# within the 2N values of the edge weights (at least one).  A block the
+# kept sums cannot clear is summed over all N modes, against a table
+# of r_k^1..r_k^chunk (32 rows at N = 4096 is 2 MiB) built the first
+# time that happens.
 _LEAK_CHUNK = 32
 # Largest sum of |e_k| the dropped modes may carry, as a fraction of the
 # runtime edge threshold.  The kept-mode check clears a block only below
@@ -198,11 +204,69 @@ def _leak_modes(weight: np.ndarray, limit: float) -> tuple[np.ndarray, float]:
     return order[n_drop:], float(tail[n_drop - 1]) if n_drop else 0.0
 
 
-def _step_powers(theta: np.ndarray) -> np.ndarray:
-    """r_k^s = exp(i s theta_k) for s = 1.._LEAK_CHUNK, one row per step."""
-    table = np.zeros((_LEAK_CHUNK, theta.size), dtype=complex)
-    np.multiply.outer(np.arange(1, _LEAK_CHUNK + 1), theta, out=table.imag)
+def _step_powers(theta: np.ndarray, rows: int) -> np.ndarray:
+    """r_k^s = exp(i s theta_k) for s = 1..rows, one row per step, in theta's precision."""
+    table = np.zeros((rows, theta.size), dtype=np.result_type(theta, np.csingle))
+    np.multiply.outer(np.arange(1, rows + 1), theta, out=table.imag)
     return np.exp(table, out=table)
+
+
+def _edge_sums(edge: np.ndarray, theta: np.ndarray, start, powers: np.ndarray) -> np.ndarray:
+    """sum_k edge[k, :] r_k^(start + s) for s = 1..len(powers), one row per step.
+
+    The weights are advanced straight to step start by exp(i start theta_k).
+    """
+    return powers @ (edge * np.exp(1j * start * theta)[:, None])
+
+
+def _kept_sums(kept: np.ndarray, theta: np.ndarray, n_steps: int, budget: int):
+    """Yield (start, _edge_sums over steps start + 1..) span by span for steps 1..n_steps.
+
+    A span is as many whole _LEAK_CHUNK blocks as keep its power table
+    within budget values, and at least one.
+    """
+    span = _LEAK_CHUNK * max(1, budget // (_LEAK_CHUNK * max(1, theta.size)))
+    powers = _step_powers(theta, span)
+    for start in range(0, n_steps, span):
+        yield start, _edge_sums(kept, theta, start, powers[: n_steps - start])
+
+
+def _leak_margin(weight: np.ndarray, n_steps: int) -> float:
+    """Bound on the roundoff of an edge sum over up to weight.size modes after up to n_steps steps.
+
+    s theta_k is rounded with an error of at most pi n_steps u (|theta_k|
+    <= pi, s <= n_steps, u the unit roundoff), the exponentials and
+    products add a few u per term and the summation at most N u, each
+    relative to sum_k |e_k|; 4 (N + n_steps) u covers all of it.
+    """
+    return 4.0 * (weight.size + n_steps) * np.finfo(float).eps * float(np.sum(weight))
+
+
+def _leak_check(coef, angle, theta, n_steps: int, edge_limit: float) -> None:
+    """Raise BoundaryLeak at the first step 1..n_steps whose edge amplitude exceeds edge_limit."""
+    n = coef.size
+    # After step s, grid point j = 1..N holds
+    # sum_k coef_k r_k^s sin(k pi j/(N+1)) / (N+1); at j = N the sine is
+    # (-1)^(k+1) sin(k pi/(N+1)).  So the edges are sum_k edge[k, :] r_k^s.
+    left = coef * np.sin(angle) / (n + 1)
+    edge = np.column_stack([left, np.where(np.arange(n) % 2, -left, left)])
+
+    # |sum over all modes| <= |sum over the kept ones| + tail, each computed within the margin
+    weight = np.abs(edge[:, 0])
+    keep, tail = _leak_modes(weight, edge_limit)
+    cut = edge_limit - tail - _leak_margin(weight, n_steps)
+    powers = None
+    for start, sums in _kept_sums(edge[keep], theta[keep], n_steps, edge.size):
+        amp = np.abs(sums).max(axis=1)
+        # "not <=": a NaN sum or cut sends its block to the full check as well
+        unclear = ~(np.maximum.reduceat(amp, range(0, amp.size, _LEAK_CHUNK)) <= cut)
+        for block in start + _LEAK_CHUNK * np.flatnonzero(unclear):
+            if powers is None:
+                powers = _step_powers(theta, _LEAK_CHUNK)
+            amp = np.abs(_edge_sums(edge, theta, block, powers[: n_steps - block])).max(axis=1)
+            over = np.flatnonzero(amp > edge_limit)
+            if over.size:
+                raise BoundaryLeak(f"edge amplitude exceeded at step {block + over[0] + 1}/{n_steps}")
 
 
 def fd_propagate(
@@ -233,11 +297,14 @@ def fd_propagate(
     mid-run since a spreading packet's tails grow, so the runtime
     threshold is looser.
 
-    The check runs in blocks of _LEAK_CHUNK steps.  A block is cleared
-    when the sums over the modes _leak_modes keeps stay below the
-    threshold minus the dropped modes' tail and a roundoff margin;
-    otherwise it is decided by the sums over all modes, formed with
-    the same operations as a check of every block would use.
+    The check runs in blocks of _LEAK_CHUNK steps and keeps no state
+    between them: every sum starts from the initial edge weights
+    advanced straight to its first step.  The modes _leak_modes keeps
+    are summed over spans of whole blocks, and a block is cleared when
+    those sums stay below the threshold minus the dropped modes' tail
+    and the roundoff margin of _leak_margin; otherwise it is decided by
+    the sums over all modes, formed with the same operations as a check
+    of every block would use.
     """
     x = np.asarray(x, dtype=float)
     out = np.asarray(psi0, dtype=complex).copy()
@@ -268,43 +335,7 @@ def fd_propagate(
     theta = 2.0 * np.arctan2(beta * lam, 1.0 + lam / 12.0)
     coef = _dst1(out)
 
-    # After step s, grid point j = 1..N holds
-    # sum_k coef_k r_k^s sin(k pi j/(N+1)) / (N+1); at j = N the sine is
-    # (-1)^(k+1) sin(k pi/(N+1)).  So the edges are sum_k edge[k, :] r_k^s.
-    edge = np.empty((n, 2), dtype=complex)
-    edge[:, 0] = coef * np.sin(angle) / (n + 1)
-    edge[:, 1] = edge[:, 0]
-    edge[1::2, 1] *= -1.0
-    edge_limit = _LEAK_TOL * peak0
-
-    # |sum over all modes| <= |sum over the kept ones| + tail.  The margin
-    # bounds the roundoff of both computed sums, summation over up to N
-    # terms and the per-block replay of r_k^chunk, against sum_k |e_k|.
-    weight = np.abs(edge[:, 0])
-    keep, tail = _leak_modes(weight, edge_limit)
-    margin = 4.0 * (n + n_steps) * np.finfo(float).eps * float(np.sum(weight))
-    cut = edge_limit - tail - margin
-    kept = edge[keep]
-    kept_powers = _step_powers(theta[keep])
-    powers = None
-    advanced = 0  # blocks the full edge weights have been carried through
-    for block, start in enumerate(range(0, n_steps, _LEAK_CHUNK)):
-        rows = min(_LEAK_CHUNK, n_steps - start)
-        # "not <=": a NaN sum or cut goes to the full check as well
-        if not np.abs(kept_powers[:rows] @ kept).max() <= cut:
-            if powers is None:
-                powers = _step_powers(theta)
-            for _ in range(block - advanced):
-                edge *= powers[-1][:, None]
-            advanced = block
-            amp = np.abs(powers[:rows] @ edge).max(axis=1)
-            over = np.flatnonzero(amp > edge_limit)
-            if over.size:
-                raise BoundaryLeak(
-                    f"edge amplitude exceeded at step {start + over[0] + 1}/{n_steps}"
-                )
-        kept *= kept_powers[-1][:, None]
-
+    _leak_check(coef, angle, theta, n_steps, _LEAK_TOL * peak0)
     return _dst1(coef * np.exp(1j * n_steps * theta)) / (2 * (n + 1))
 
 

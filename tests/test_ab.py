@@ -1,8 +1,10 @@
 """tools/ab.py alternates two checkouts' benchmark runs and judges the gap."""
 
+import itertools
 import json
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import ab
 
@@ -20,7 +22,8 @@ RUN_PY = textwrap.dedent("""\
     if program["fail"]:
         sys.exit("no result")
     metrics = {"wall_s": program["wall"] + 0.01 * seed, "pass_frac": 1.0}
-    print(json.dumps({"report": "full"}))
+    # run.py's report: a warm-up, three timed processes and two probes
+    print(json.dumps({"processes": [{}, {}, {}], "setup_probes_s": [0.1, 0.1]}))
     result = {"correct": True, "metrics": {k: {"value": v} for k, v in metrics.items()}}
     print(json.dumps(result))
     """)
@@ -42,7 +45,10 @@ def checkout(root, name, wall, fail=False):
     return str(root / name)
 
 
-def test_alternating_pairs_and_the_claim_rule(tmp_path, capsys):
+def test_alternating_pairs_and_the_claim_rule(tmp_path, capsys, monkeypatch):
+    # 600 minor faults a run, over the six processes its report names
+    faults = itertools.count(step=600)
+    monkeypatch.setattr(ab.resource, "getrusage", lambda who: SimpleNamespace(ru_minflt=next(faults)))
     base, head = checkout(tmp_path, "base", 1.0), checkout(tmp_path, "head", 0.9)
     argv = ["--base", base, "--head", head, "--workload", "ensemble", "--pairs", "4"]
     assert ab.main(argv + ["--seconds", "1"]) == 0
@@ -53,11 +59,11 @@ def test_alternating_pairs_and_the_claim_rule(tmp_path, capsys):
     lines = out.splitlines()
     runs = [f"pair {seed} {side}" for side, seed in map(str.split, order)]
     assert [line.split("  ")[0] for line in lines[:8]] == runs
-    assert "wall_s 1.02" in lines[4] and "minflt" in lines[4]
+    assert lines[4].endswith("wall_s 1.02  pass_frac 1  processes 6  minflt/process 100")
     # base 1.00 .. 1.03: median 1.015, quartiles 1.0075 and 1.0225; head 0.1 lower
     assert lines[8] == "wall_s  wins 4/4  base 1.015 [1.0075 1.0225]  head 0.915  gap -0.1  claim met"
     assert lines[9] == "pass_frac  wins 0/4  base 1 [1 1]  head 1  gap +0  claim not met"
-    assert lines[10].startswith("minflt per run  base ")
+    assert lines[10] == "minflt per process  base 100  head 100"
 
 
 def test_unequal_paths_warn_and_a_failed_run_stops(tmp_path, capsys):

@@ -34,6 +34,8 @@ from path_excitation.oracle import (
     VERIFY_TOL,
     EquivalenceReport,
     _dst1,
+    _kept_sums,
+    _leak_margin,
     _leak_modes,
     bohm_velocity,
     equivalence_report,
@@ -226,7 +228,8 @@ def _leak_setup(params, x, psi0, t_end, n_steps):
 
 
 def _full_leak_reference(params, x, psi0, t_end, n_steps):
-    """fd_propagate with every block's edge sums taken over all N modes.
+    """fd_propagate with every block's edge sums taken over all N modes,
+    from the initial weights advanced straight to the block's first step.
     Preconditions are left to fd_propagate."""
     coef, theta, edge, edge_limit = _leak_setup(params, x, psi0, t_end, n_steps)
     powers = np.zeros((_LEAK_CHUNK, x.size), dtype=complex)
@@ -234,13 +237,12 @@ def _full_leak_reference(params, x, psi0, t_end, n_steps):
     np.exp(powers, out=powers)
     for start in range(0, n_steps, _LEAK_CHUNK):
         rows = min(_LEAK_CHUNK, n_steps - start)
-        amp = np.abs(powers[:rows] @ edge).max(axis=1)
+        amp = np.abs(powers[:rows] @ (edge * np.exp(1j * start * theta)[:, None])).max(axis=1)
         over = np.flatnonzero(amp > edge_limit)
         if over.size:
             raise BoundaryLeak(
                 f"edge amplitude exceeded at step {start + over[0] + 1}/{n_steps}"
             )
-        edge *= powers[-1][:, None]
     return _dst1(coef * np.exp(1j * n_steps * theta)) / (2 * (x.size + 1))
 
 
@@ -272,6 +274,26 @@ def test_kept_mode_leak_check_matches_full_check(seed):
     assert _outcome(fd_propagate, P, xs, psi0, t_end, n_steps) == _outcome(
         _full_leak_reference, P, xs, psi0, t_end, n_steps
     )
+
+
+@pytest.mark.parametrize("drift, step", [(0.31, 4929), (1.528, 3264)], ids=["after", "before"])
+def test_leak_at_a_span_boundary_names_the_same_step(drift, step):
+    # Spans of two blocks; the first leaking step is the first step of a
+    # later span (4929 = 77 * 64 + 1) or the last of one (3264 = 51 * 64).
+    # The kept sums clear the first block of that last span, not its
+    # second, so only the second goes to the full check.
+    xs = np.linspace(-10.5, 10.5, 1024)
+    dx = xs[1] - xs[0]
+    n_steps = int(np.ceil(3.0 / dx**2))
+    psi0 = psi(P, SlitSpec(center=0.0, drift=drift), xs, 0.0).astype(complex)
+    _, theta, edge, limit = _leak_setup(P, xs, psi0, 3.0, n_steps)
+    keep, _ = _leak_modes(np.abs(edge[:, 0]), limit)
+    starts = [start for start, _ in _kept_sums(edge[keep], theta[keep], n_steps, edge.size)]
+    assert starts[1] == 2 * _LEAK_CHUNK
+    assert step - 1 in starts[2:] or step in starts[2:]
+    message = f"edge amplitude exceeded at step {step}/{n_steps}"
+    assert _outcome(fd_propagate, P, xs, psi0, 3.0, n_steps) == message
+    assert _outcome(_full_leak_reference, P, xs, psi0, 3.0, n_steps) == message
 
 
 def test_kept_mode_leak_check_falls_back_without_a_leak():
@@ -324,8 +346,37 @@ def test_criterion_6_leak_check_keeps_few_modes():
     dropped = np.setdiff1d(np.arange(xs.size), keep)
     assert np.all(weight[dropped] <= np.min(weight[keep]))
     steps = np.arange(1, n_steps + 1)
-    kept_amp = np.abs(np.exp(1j * np.multiply.outer(steps, theta[keep])) @ edge[keep]).max()
-    assert kept_amp < (limit - tail) / 2
+    direct = np.exp(1j * np.multiply.outer(steps, theta[keep])) @ edge[keep]
+    assert np.abs(direct).max() < (limit - tail) / 2
+    # The check forms the same sums span by span, within its margin.
+    spans = _kept_sums(edge[keep], theta[keep], n_steps, edge.size)
+    gap = np.abs(np.concatenate([sums for _, sums in spans]) - direct).max()
+    assert gap < _leak_margin(weight, n_steps)
+
+
+@pytest.mark.skipif(
+    not np.finfo(np.longdouble).eps < 1e-18, reason="long double is no wider than double"
+)
+def test_leak_margin_bounds_the_roundoff_of_the_kept_sums():
+    # The kept-mode sums of criterion 6, formed by the library in double
+    # and in long double from the same weights and angles: the double
+    # sums' roundoff must stay within the margin the check subtracts.
+    xs = np.linspace(-12.0, 12.0, 4096)
+    dx = xs[1] - xs[0]
+    n_steps = int(np.ceil(2.0 / (dx * dx * P.mass / P.hbar)))
+    psi0 = psi(P, SlitSpec(center=0.0), xs, 0.0).astype(complex)
+    _, theta, edge, limit = _leak_setup(P, xs, psi0, 2.0, n_steps)
+    weight = np.abs(edge[:, 0])
+    keep, _ = _leak_modes(weight, limit)
+    double = _kept_sums(edge[keep], theta[keep], n_steps, edge.size)
+    wide = _kept_sums(
+        edge[keep].astype(np.clongdouble), theta[keep].astype(np.longdouble), n_steps, edge.size
+    )
+    gap = 0.0
+    for (start, sums), (wide_start, wide_sums) in zip(double, wide, strict=True):
+        assert start == wide_start and wide_sums.dtype == np.clongdouble
+        gap = max(gap, float(np.abs(sums - wide_sums).max()))
+    assert gap < _leak_margin(weight, n_steps)
 
 
 @pytest.mark.parametrize("bad", ["nan_psi0", "inf_psi0", "nan_x", "nan_t_end", "inf_t_end"])

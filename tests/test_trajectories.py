@@ -309,6 +309,14 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="Too many bins"):  # one value there
             np.histogram(res.bin_edges[3:4], bins=6)
 
+    def test_non_finite_survivors_raise(self):
+        # The guidance velocity overflows to inf with no nodal flag, so the
+        # trajectories survive at NaN; numpy's histogram rejects their
+        # range, and the too-many-bins fallback passes that error on.
+        params = PhysParams(hbar=1e100, mass=1e-8)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="is not finite"):
+            ensemble(params, [SlitSpec(center=0.0, sigma0=1e100)], ONE, 1.0, 2.0, 8, dt=1.0)
+
     def test_lone_survivor_keeps_numpy_range(self):
         res = ensemble(P, SINGLE, ONE, 1e-3, 1.0, 1, dt=0.05, bins=4)
         x = res.bin_edges[0] + 0.5

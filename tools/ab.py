@@ -13,9 +13,9 @@ two programs under one benchmark, so a warning goes to stderr when
 BENCHMARK.json or any file under its "paths" differs between the
 checkouts (by sha256; __pycache__ is skipped).
 
-The output is one line per run (its end-to-end metrics and the minor
-page faults of run.py and its workload processes, from RUSAGE_CHILDREN),
-then one line per metric of the base's BENCHMARK.json,
+The output is one line per run (its end-to-end metrics, the processes
+it started and their minor page faults per process), then one line per
+metric of the base's BENCHMARK.json,
 
     <metric>  wins <W>/<N>  base <median> [<q1> <q3>]  head <median>  gap <head - base>  claim <verdict>
 
@@ -25,7 +25,13 @@ Quartiles are statistics.quantiles(..., method="inclusive").  A claim
 is met when head wins at least nine tenths of the pairs (ties count for
 neither side) and the medians differ by more than the base's
 interquartile range.  The last line gives each side's median minor
-faults per run.  The exit status is 1 when a run fails, else 0.
+faults per process.  The exit status is 1 when a run fails, else 0.
+
+A run's minor faults are those of run.py and every process it started,
+from RUSAGE_CHILDREN.  A run starts as many workload processes as fit
+in its seconds, so the total follows the host's speed; it is divided by
+the processes the run started, read from run.py's report line: one
+set-up warm-up, its "processes" and its "setup_probes_s".
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ import sys
 from pathlib import Path
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[dict, int]:
-    """(metric values, minor faults) of one run.py run in checkout."""
+def _run(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[dict, int, float]:
+    """(metric values, processes started, minor faults per process) of one run.py run."""
     cmd = [
         sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds),
@@ -51,8 +57,9 @@ def _run(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[dict, 
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout} exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {name: m["value"] for name, m in result["metrics"].items()}, faults
+    report, result = map(json.loads, proc.stdout.strip().splitlines()[-2:])
+    started = 1 + len(report["processes"]) + len(report["setup_probes_s"])
+    return {name: m["value"] for name, m in result["metrics"].items()}, started, faults / started
 
 
 def benchmark_digests(checkout: Path) -> dict[str, str]:
@@ -116,19 +123,20 @@ def main(argv: list[str] | None = None) -> int:
         order = ("base", "head") if seed % 2 == 0 else ("head", "base")
         for side in order:
             try:
-                metrics, flt = _run(sides[side], args.workload, seed, args.seconds)
+                metrics, started, flt = _run(sides[side], args.workload, seed, args.seconds)
             except RuntimeError as exc:
                 print(f"run failed: {exc}", file=sys.stderr)
                 return 1
             values[side].append(metrics)
             faults[side].append(flt)
             shown = "  ".join(f"{k} {v:.6g}" for k, v in metrics.items())
-            print(f"pair {seed} {side}  {shown}  minflt {flt}", flush=True)
+            print(f"pair {seed} {side}  {shown}  processes {started}  minflt/process {flt:.0f}",
+                  flush=True)
     for spec in specs:
         name = spec["name"]
         print(summarize(spec, [m[name] for m in values["base"]], [m[name] for m in values["head"]]))
     print(
-        f"minflt per run  base {statistics.median(faults['base']):.0f}"
+        f"minflt per process  base {statistics.median(faults['base']):.0f}"
         f"  head {statistics.median(faults['head']):.0f}"
     )
     return 0
