@@ -162,14 +162,12 @@ def _guidance(p, j, node_floor, peak, conv, ws) -> FieldSample:
         np.less(p, node_floor * peak, out=nodal)
     else:
         nodal.fill(True)
-    some = nodal.any()
     if len(conv) == 1:
         np.copyto(v, conv[0])
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(j, p, out=v, where=~nodal if some else True)
-    if some:
-        np.copyto(v, np.nan, where=nodal)
+            np.divide(j, p, out=v, where=~nodal)
+    np.copyto(v, np.nan, where=nodal)
     return FieldSample(p_tot=p, j_tot=j, v_tot=_unwrap(v), nodal=_unwrap(nodal))
 
 
@@ -189,8 +187,10 @@ class _Workspace:
 
     packets[i] takes open slit i's five PacketEval arrays, scratch the
     temporaries of packet._packet and of _pairwise, p and j the totals,
-    and v and nodal _guidance's output.  Stages that share packets,
-    scratch, p and j but not v and nodal can keep each other's output.
+    and v and nodal _guidance's output.  A trajectory bundle gives each
+    stage of a step a workspace of its own that shares packets, scratch,
+    p and j with the others but not v and nodal, so every stage output
+    lives until the step is done.
     """
 
     packets: list[list[np.ndarray]]

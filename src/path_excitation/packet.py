@@ -187,9 +187,8 @@ def _packet(params: PhysParams, slit: SlitSpec, x: np.ndarray, t: float, out, sc
     theta += slit.phase0
     theta -= 0.5 * np.arctan(d * t / s0sq)
     # finite where the amplitude underflows to 0 (theta may overflow there)
-    live = amp > 0.0
-    if not live.all():
-        np.copyto(theta, 0.0, where=~live)
+    # or is NaN, where amp <= 0.0 would not hold
+    np.copyto(theta, 0.0, where=~(amp > 0.0))
     np.cos(theta, out=cos)
     np.sin(theta, out=sin)
     # v = drift + xi D^2 t / (s0^2 sigma^2), u = (hbar / m) xi / (2 sigma^2)

@@ -14,15 +14,17 @@ to the floor step (t1 - t0)/2000; at that size every step is accepted.
 An explicit dt proposes classic fourth-order Runge-Kutta steps on a
 fixed schedule instead, the case with no error estimate and no
 rejection, and the step count is capped at _MAX_STEPS.  In both modes a
-trajectory whose accepted step met a nodal stage, or that starts on a
-node, aborts, frozen at its last accepted position, rather than
-stepping across a node.
+trajectory whose accepted step met a nodal stage or proposed a position
+that is not finite, or that starts on a node, aborts, frozen at its last
+accepted position, rather than stepping across a node.
 
 Each bundle owns one workspace, sized to it and to the open slits:
-every stage writes its packet evaluations, pairwise sums, guidance
-velocity and stage positions into it, so stepping allocates nothing
-per stage.  The public field functions run the same kernels, each call
-in a workspace of its own, so the bits are theirs.
+every stage writes its packet evaluations, pairwise sums and stage
+positions into it, so stepping allocates nothing per stage.  Stage i of
+a step leaves its guidance velocity and nodal flags in stage workspace
+i, one per Dormand-Prince stage.  The public field functions run the
+same kernels, each call in a workspace of its own, so the bits are
+theirs.
 
 Ensembles sample initial positions from the normalized t0 intensity by
 inverse-CDF lookup on a tabulated grid, integrate the position-sorted
@@ -67,7 +69,6 @@ _FLOOR_STEPS = 2000  # the floor step of the controlled path is (t1 - t0)/2000
 _MAX_STEPS = 100_000  # an explicit dt may take at most this many steps
 _STEP_TOL = 1e-10  # accepted |x5 - x4|, absolute, worst live trajectory
 _RECORD_ROWS = 64  # rows a controlled recording starts with; it doubles when full
-_POOL = 7  # stage outputs a bundle keeps: RK4's k1..k4, Dormand-Prince's k1..k7
 
 # Dormand-Prince 5(4): nodes, stage matrix rows for stages 2..7, and the
 # error weights b5 - b4.  Row 7 is b5, so stage 7 sits at the new point.
@@ -109,7 +110,9 @@ class EnsembleResult:
     """Endpoint histogram of an integrated ensemble.
 
     counts covers completed trajectories only and sums to
-    n_trajectories - n_aborted.  n_crossing_violations counts adjacent
+    n_trajectories - n_aborted, where n_aborted counts the trajectories
+    that started on a node or whose step met a stage that was nodal or
+    not finite.  n_crossing_violations counts adjacent
     sorted pairs that swapped order by more than the crossing tolerance
     at any accepted step; the flow is order-preserving, so anything
     above zero indicates too coarse a step.  n_steps counts accepted
@@ -130,6 +133,8 @@ def _time_steps(t0: float, t1: float, dt: float) -> np.ndarray:
     """Step targets t0 < ... < t1 at spacing dt, landing exactly on t1.
 
     A window shorter than one step still gets the one step t0 -> t1.
+    Where dt is below the spacing of the doubles near t0, targets that
+    round to one value are kept once, so no step has length zero.
     """
     span = t1 - t0
     n_full = int(np.floor(span / dt + 1e-12))
@@ -138,7 +143,7 @@ def _time_steps(t0: float, t1: float, dt: float) -> np.ndarray:
     if rem > 1e-9 * dt or n_full == 0:
         times = np.append(times, t1)
     times[-1] = t1
-    return times
+    return np.unique(times)
 
 
 def _resolve_dt(t0, t1, dt) -> float | None:
@@ -218,25 +223,24 @@ def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, record=False) -> _B
     holds one (len(times), x.size) row per accepted sample.
 
     The bundle owns one workspace: every stage evaluates the field into
-    the shared buffers of field._Workspace and leaves its (v, nodal) in
-    one of _POOL slots, and the step sums are written in place, so a
+    the shared buffers of field._Workspace, stage i of a step leaves its
+    (v, nodal) in pool[i], and the step sums are written in place, so a
     stage allocates no array.  The sums run in the order of the
     expressions in their comments, operation for operation.
     """
     x = np.array(x0, dtype=float)
     shared = _workspace(x.size, len(mask.select(slits)))
-    # RK4's k1..k4 in slots 0..3; DP's k1..k7 in slots s..s+6 mod _POOL, where a
-    # rejected step keeps s and an accepted one moves it to k7, the next k1.
+    # One stage workspace per DP stage; RK4 uses the first four.  An accepted
+    # DP step rotates k7's to the front, as the next step's k1.
     pool = [shared] + [
-        replace(shared, v=np.empty(x.size), nodal=np.empty(x.size, dtype=bool))
-        for _ in range(_POOL - 1)
+        replace(shared, v=np.empty(x.size), nodal=np.empty(x.size, dtype=bool)) for _ in _DP_C
     ]
     x_new = np.empty(x.size)
     acc, tmp = shared.scratch[:2]  # the step sums run between stages, when scratch is free
     hit, live = np.empty(x.size, dtype=bool), np.empty(x.size, dtype=bool)
 
-    def velocity(x, t, slot):
-        return _velocity(params, slits, mask, x, t, node_floor, pool[slot % _POOL])
+    def velocity(x, t, i):
+        return _velocity(params, slits, mask, x, t, node_floor, pool[i])
 
     def stage(scale, k):  # x + scale * k
         np.multiply(scale, k, out=tmp)
@@ -254,8 +258,8 @@ def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, record=False) -> _B
         paths[0] = x
     n_viol = n_rejected = 0
     h_floor = (t1 - t0) / _FLOOR_STEPS
-    t, h, slot = times[0], h_floor, 0
-    while (t < t1) if targets is None else (len(times) < targets.size):
+    t, h = times[0], h_floor
+    while t < t1:
         if targets is not None:
             k1, nodal = velocity(x, t, 0)
             t_new = targets[len(times)]
@@ -273,6 +277,7 @@ def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, record=False) -> _B
             np.logical_or(nodal, n2, out=hit)
             hit |= n3
             hit |= n4
+            hit |= ~np.isfinite(x_new)
             hit &= alive
         else:
             h = max(h, h_floor)
@@ -284,9 +289,11 @@ def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, record=False) -> _B
             for i, (c, row) in enumerate(zip(_DP_C, _DP_A), start=1):
                 # x + h * sum(a * k for a, k in zip(row, ks) if a); stage 7 is x5
                 x_stage = stage(h, _combine(row, ks, acc, tmp))
-                k, n = velocity(x_stage, t + c * h if c < 1.0 else t_new, slot + i)
+                k, n = velocity(x_stage, t + c * h if c < 1.0 else t_new, i)
                 ks.append(k)
                 hit |= n
+            # x_new is x5: every stage but k7 reaches it, and k7 is the next k1
+            hit |= ~np.isfinite(x_new)
             hit &= alive
             dx = np.multiply(h, _combine(_DP_E, ks, acc, tmp), out=acc)
             np.logical_not(hit, out=live)
@@ -297,7 +304,8 @@ def _bundle(params, slits, mask, x0, t0, t1, dt, node_floor, record=False) -> _B
                 n_rejected += 1
                 h = 0.5 * h if hit.any() else h * grow
                 continue
-            k1, slot = k, slot + 6  # first same as last: its nodal flags are in hit
+            k1 = k  # first same as last: its nodal flags are in hit
+            pool.insert(0, pool.pop())
             h *= grow
         abort_step[hit] = len(times) - 1  # the last accepted sample
         alive &= np.logical_not(hit, out=live)
@@ -398,8 +406,9 @@ def integrate(
     """Integrate one streamline from (x0, t0) to t1.
 
     dt=None steps under error control; an explicit dt steps with fixed
-    RK4.  On a nodal stage the trajectory terminates with NodalAbort
-    and the samples stop at the last accepted step.
+    RK4.  On a stage that is nodal or not finite the trajectory
+    terminates with NodalAbort and the samples stop at the last accepted
+    step.
     """
     times, paths, abort_steps = streamlines(params, slits, mask, [x0], t0, t1, dt, node_floor)
     last = int(abort_steps[0]) if abort_steps[0] >= 0 else times.size - 1
@@ -467,8 +476,6 @@ def ensemble(
     try:  # no survivors histogram as zero counts on linspace(0, 1, bins + 1)
         counts, edges = np.histogram(survivors, bins=bins)
     except ValueError:  # too many bins where numpy's range has no room for them
-        if not np.isfinite(survivors).all():
-            raise
         pad = bins * np.spacing(np.abs(survivors).max())  # bins >= 2 ulps wide
         lo, hi = survivors.min() - pad, survivors.max() + pad
         counts, edges = np.histogram(survivors, bins=bins, range=(lo, hi))

@@ -250,3 +250,9 @@ def test_far_slit_carrier_is_finite():
     assert np.array_equal(ev.amplitude, np.zeros(2))
     assert np.array_equal(ev.cos, [1.0, 1.0])
     assert np.array_equal(ev.sin, [0.0, 0.0])
+
+
+def test_nan_amplitude_carrier_is_the_unit_carrier():
+    # a NaN amplitude is not positive either, so its theta is zeroed too
+    ev = eval_packet(P, SlitSpec(0.0), [np.nan, 0.5], 1.0)
+    assert ev.cos[0] == 1.0 and ev.sin[0] == 0.0

@@ -105,6 +105,24 @@ class TestSampling:
         assert abs(float(mid[0])) < 1e-6
 
 
+# (t1 - t0, dt, final positions of 4 quantile starts) at t0 = 1e12, where
+# doubles are 2**-13 apart.  The first window's 100,000 targets round to
+# 8,193 times; the second's last step is 3e-5 short of t1 and rounds onto
+# it.  A zero-length step moves no position, so the final positions are
+# those of a schedule that keeps every rounded target.  One slit's
+# velocity takes no exp, cos or sin, so they hold on every SIMD level.
+ZERO_LENGTH_STEPS = {
+    "tiny dt": (1.0, 1e-5, [
+        "-0x1.0bd63f83668d2p+39", "-0x1.28c1951905effp+37",
+        "0x1.28c1951905eefp+37", "0x1.0bd63f83668c4p+39",
+    ]),
+    "short last step": (10.0001220703125, (10.0001220703125 - 3e-5) / 10, [
+        "-0x1.0bd63f83700e2p+39", "-0x1.28c1951910af1p+37",
+        "0x1.28c1951910ae1p+37", "0x1.0bd63f83700d4p+39",
+    ]),
+}
+
+
 class TestIntegrate:
     def test_ballistic_spreading_endpoint(self):
         tr = integrate(P, SINGLE, ONE, 1.0, 0.0, 2.0, dt=0.002)
@@ -125,6 +143,18 @@ class TestIntegrate:
         assert ts[0] == 0.5
         assert ts[-1] == 1.5
         assert all(b > a for a, b in zip(ts, ts[1:]))
+
+    @pytest.mark.parametrize("case", ZERO_LENGTH_STEPS)
+    def test_targets_that_round_together_are_kept_once(self, case):
+        t0 = 1e12
+        span, dt, final = ZERO_LENGTH_STEPS[case]
+        targets = trajectories._time_steps(t0, t0 + span, dt)
+        assert targets[0] == t0 and targets[-1] == t0 + span
+        assert (np.diff(targets) > 0).all()
+        x0 = quantile_initial(P, SINGLE, ONE, t0, 4)
+        times, paths, abort_steps = streamlines(P, SINGLE, ONE, x0, t0, t0 + span, dt)
+        assert np.array_equal(times, targets) and list(abort_steps) == [-1] * 4
+        assert [x.hex() for x in paths[-1]] == final
 
     def test_fourth_order_convergence(self):
         ends = {}
@@ -309,13 +339,18 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="Too many bins"):  # one value there
             np.histogram(res.bin_edges[3:4], bins=6)
 
-    def test_non_finite_survivors_raise(self):
-        # The guidance velocity overflows to inf with no nodal flag, so the
-        # trajectories survive at NaN; numpy's histogram rejects their
-        # range, and the too-many-bins fallback passes that error on.
-        params = PhysParams(hbar=1e100, mass=1e-8)
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="is not finite"):
-            ensemble(params, [SlitSpec(center=0.0, sigma0=1e100)], ONE, 1.0, 2.0, 8, dt=1.0)
+    @pytest.mark.parametrize("dt", [1.0, None], ids=["rk4", "dopri"])
+    def test_proposals_that_are_not_finite_abort(self, dt):
+        # The guidance velocity overflows with no nodal flag, so every
+        # proposed position is NaN: each line aborts at its start rather
+        # than completing at NaN.
+        params, slits = PhysParams(hbar=1e100, mass=1e-8), [SlitSpec(center=0.0, sigma0=1e100)]
+        with np.errstate(all="ignore"):
+            res = ensemble(params, slits, ONE, 1.0, 2.0, 8, dt=dt)
+            x0 = quantile_initial(params, slits, ONE, 1.0, 8)
+            _, paths, abort_steps = streamlines(params, slits, ONE, x0, 1.0, 2.0, dt)
+        assert res.n_aborted == 8
+        assert np.isfinite(paths).all() and list(abort_steps) == [0] * 8
 
     def test_lone_survivor_keeps_numpy_range(self):
         res = ensemble(P, SINGLE, ONE, 1e-3, 1.0, 1, dt=0.05, bins=4)

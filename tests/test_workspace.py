@@ -1,13 +1,13 @@
 """A workspace that earlier calls left dirty gives the bits of a fresh one.
 
 Every field kernel writes into a field._Workspace.  Trajectory bundles
-evaluate every stage into one and keep the stage outputs in a rotating
-pool; the public field functions build one per call.  These tests
+evaluate every stage into one and keep stage i's output in stage
+workspace i; the public field functions build one per call.  These tests
 compare a dirty workspace with fresh ones and with eval_packet, bit for
-bit, in the cases where the kernels skip a step: masked phases, one
-open slit, an empty mask and nodal points.  They also check that a
-scalar x still gives numpy scalars from every public function that
-evaluates it in a 0-d workspace, and that no stage output is
+bit, in the cases where the kernels mask values or skip a step: masked
+phases, one open slit, an empty mask and nodal points.  They also check
+that a scalar x still gives numpy scalars from every public function
+that evaluates it in a 0-d workspace, and that no stage output is
 overwritten while a step still reads it.
 """
 
@@ -110,14 +110,19 @@ def test_scalar_x_gives_numpy_scalars():
     assert all(same(getattr(whole, f.name)[0], getattr(point, f.name)) for f in fields(point))
 
 
-@pytest.mark.parametrize("dt", [None, 0.05], ids=["dopri", "rk4"])
-def test_stage_outputs_survive_the_step(monkeypatch, dt):
+@pytest.mark.parametrize(
+    ("dt", "node_floor"),
+    [(None, 1e-12), (0.05, 1e-12), (None, 0.01), (0.05, 0.01)],
+    ids=["dopri", "rk4", "dopri-aborts", "rk4-aborts"],
+)
+def test_stage_outputs_survive_the_step(monkeypatch, dt, node_floor):
     # Every stage output is kept until its step is done: k1 through
-    # stages 2-7 and any number of rejected attempts.  A run whose
-    # stages return copies cannot alias them; the pooled run must match
-    # it bit for bit.  Colliding packets force rejections.
+    # stages 2-7 and any number of rejected attempts, and k7 as the next
+    # k1.  A run whose stages return copies cannot alias them; the pooled
+    # run must match it bit for bit.  Colliding packets force rejections,
+    # and a floor of 0.01 aborts lines after the first step.
     x0 = trajectories.quantile_initial(P, COLLIDING, SlitMask.all_open(2), 1e-3, 50)
-    args = (P, COLLIDING, SlitMask.all_open(2), x0, 1e-3, 4.0, dt, 1e-12)
+    args = (P, COLLIDING, SlitMask.all_open(2), x0, 1e-3, 4.0, dt, node_floor)
     pooled = trajectories._bundle(*args, record=True)
     velocity = trajectories._velocity
     monkeypatch.setattr(
@@ -125,6 +130,7 @@ def test_stage_outputs_survive_the_step(monkeypatch, dt):
     )
     copied = trajectories._bundle(*args, record=True)
     assert (pooled.n_rejected > 0) == (dt is None)
+    assert (pooled.abort_step > 0).any() == (node_floor == 0.01)
     assert pooled.n_rejected == copied.n_rejected and pooled.n_violations == copied.n_violations
     for name in ("times", "x_final", "abort_step", "paths"):
         assert same(getattr(pooled, name), getattr(copied, name)), name
